@@ -6,142 +6,98 @@ character duality for the ramified one), and a brute-force oracle that checks
 every closed form against the definitions at desk scale.
 """
 
-from .codes import CodeHandle, handles_equal, trace_inner_product, weight_enumerator
-from .eisenstein_codes import (
-    EisensteinCodeSpec,
-    annihilator_subgroup,
-    build_eisenstein_code,
-    char_inner_product,
-    character_table,
-    eisenstein_dual_code,
-    normalize_spec,
-    pairing,
-    trace_dual_code,
-)
-from .errors import (
-    ChainCodesError,
-    ClosureChangedCodeError,
-    CoercionFailedError,
-    LengthMismatchError,
-    NonCoprimeError,
-    NonFreeModuleError,
-    NotAUnitError,
-    NotCyclicError,
-    NotDecomposableError,
-    ParameterError,
-    ProductMismatchError,
-    RankNotOneError,
-    RankNotPrimeError,
-    RingMismatchError,
-    SpecShapeError,
-    TooLargeError,
-    UnknownComponentError,
-)
-from .galois_codes import (
-    GaloisCodeSpec,
-    build_galois_code,
-    decompose_to_spec,
-    dual_galois_code,
-    is_self_dual,
-    log_cardinality,
-)
-from .idempotents import (
-    IdempotentSystem,
-    component_basis,
-    idempotent_system,
-    mu_involution,
-    primitive_idempotents,
-    trace_dual_basis,
-)
-from .modlinalg import (
-    GeneratorStack,
-    contains,
-    normal_form,
-    solve_orthogonal,
-    subgroup_order_log_p,
-)
-from .oracle import (
-    OracleReport,
-    brute_dual_character,
-    brute_dual_trace,
-    cross_check,
-    verify_additive_cyclic,
-)
-from .polyfactory import (
-    CosetClassification,
-    ExtensionDescriptor,
-    build_extension,
-    classify_cosets,
-    cyclotomic_cosets,
-    find_basic_primitive_poly,
-    hensel_lift,
-    minimal_polynomial,
-)
-from .rings import ChainRing, ChainRingElement, RingParams, make_ring
+from importlib import import_module
 
-__all__ = [
-    "ChainRing",
-    "ChainRingElement",
-    "RingParams",
-    "make_ring",
-    "CosetClassification",
-    "ExtensionDescriptor",
-    "cyclotomic_cosets",
-    "classify_cosets",
-    "find_basic_primitive_poly",
-    "hensel_lift",
-    "build_extension",
-    "minimal_polynomial",
-    "IdempotentSystem",
-    "idempotent_system",
-    "primitive_idempotents",
-    "component_basis",
-    "mu_involution",
-    "trace_dual_basis",
-    "GeneratorStack",
-    "normal_form",
-    "subgroup_order_log_p",
-    "contains",
-    "solve_orthogonal",
-    "CodeHandle",
-    "handles_equal",
-    "weight_enumerator",
-    "trace_inner_product",
-    "GaloisCodeSpec",
-    "build_galois_code",
-    "dual_galois_code",
-    "log_cardinality",
-    "is_self_dual",
-    "decompose_to_spec",
-    "EisensteinCodeSpec",
-    "build_eisenstein_code",
-    "pairing",
-    "character_table",
-    "char_inner_product",
-    "annihilator_subgroup",
-    "eisenstein_dual_code",
-    "trace_dual_code",
-    "normalize_spec",
-    "OracleReport",
-    "brute_dual_trace",
-    "brute_dual_character",
-    "verify_additive_cyclic",
-    "cross_check",
-    "ChainCodesError",
-    "ClosureChangedCodeError",
-    "CoercionFailedError",
-    "LengthMismatchError",
-    "NonCoprimeError",
-    "NonFreeModuleError",
-    "NotAUnitError",
-    "NotCyclicError",
-    "NotDecomposableError",
-    "ParameterError",
-    "ProductMismatchError",
-    "RankNotOneError",
-    "RankNotPrimeError",
-    "RingMismatchError",
-    "SpecShapeError",
-    "TooLargeError",
-    "UnknownComponentError",
-]
+# public name -> defining submodule; each submodule is imported on first use
+# (PEP 562), so `import chaincodes.cli` pulls in numpy only for commands that need it
+_SOURCES = {
+    "codes": ("CodeHandle", "handles_equal", "trace_inner_product", "weight_enumerator"),
+    "eisenstein_codes": (
+        "EisensteinCodeSpec",
+        "annihilator_subgroup",
+        "build_eisenstein_code",
+        "char_inner_product",
+        "character_table",
+        "eisenstein_dual_code",
+        "normalize_spec",
+        "pairing",
+        "trace_dual_code",
+    ),
+    "errors": (
+        "CertificateError",
+        "ChainCodesError",
+        "ClosureChangedCodeError",
+        "CoercionFailedError",
+        "LengthMismatchError",
+        "NonCoprimeError",
+        "NonFreeModuleError",
+        "NotAUnitError",
+        "NotCyclicError",
+        "NotDecomposableError",
+        "ParameterError",
+        "ProductMismatchError",
+        "RankNotOneError",
+        "RankNotPrimeError",
+        "RingMismatchError",
+        "SpecShapeError",
+        "TooLargeError",
+        "UnknownComponentError",
+    ),
+    "galois_codes": (
+        "GaloisCodeSpec",
+        "build_galois_code",
+        "decompose_to_spec",
+        "dual_galois_code",
+        "is_self_dual",
+        "log_cardinality",
+    ),
+    "idempotents": (
+        "IdempotentSystem",
+        "certify",
+        "component_basis",
+        "idempotent_system",
+        "mu_involution",
+        "primitive_idempotents",
+        "trace_dual_basis",
+    ),
+    "modlinalg": (
+        "GeneratorStack",
+        "contains",
+        "normal_form",
+        "solve_orthogonal",
+        "subgroup_order_log_p",
+    ),
+    "oracle": (
+        "OracleReport",
+        "brute_dual_character",
+        "brute_dual_trace",
+        "cross_check",
+        "verify_additive_cyclic",
+    ),
+    "polyfactory": (
+        "CosetClassification",
+        "ExtensionDescriptor",
+        "build_extension",
+        "classify_cosets",
+        "cyclotomic_cosets",
+        "find_basic_primitive_poly",
+        "hensel_lift",
+        "minimal_polynomial",
+    ),
+    "rings": ("ChainRing", "ChainRingElement", "RingParams", "make_ring"),
+}
+_SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = [name for names in _SOURCES.values() for name in names]
+
+
+def __getattr__(name):
+    module = _SOURCE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

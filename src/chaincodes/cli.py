@@ -14,15 +14,12 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import eisenstein_codes as ec
-from . import galois_codes as gc
-from . import oracle
 from .errors import ChainCodesError, ParameterError, TooLargeError
-from .idempotents import idempotent_system
 from .polyfactory import classify_cosets
 from .rings import ChainRing
+
+# numpy and the code modules are imported inside the commands that use them,
+# so `ring info`, `cosets` and `idempotents` start without importing numpy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,12 +31,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars
+        return _jsonable(obj.tolist())
     if isinstance(obj, Fraction):
         return str(obj)
     return obj
@@ -68,6 +61,9 @@ def _ring_from_args(args, embedded=None):
 
 
 def _code_spec_from_args(args):
+    from . import eisenstein_codes as ec
+    from . import galois_codes as gc
+
     obj = _load_json(args.code)
     ring = _ring_from_args(args, obj.get("ring"))
     family = obj.get("family")
@@ -133,6 +129,8 @@ def cmd_cosets(args):
 
 
 def cmd_idempotents(args):
+    from .idempotents import idempotent_system
+
     ring = _ring_from_args(args)
     sys_ = idempotent_system(ring, args.N)
     report = {
@@ -155,12 +153,17 @@ def cmd_idempotents(args):
 
 
 def _build_handle(spec):
+    from . import eisenstein_codes as ec
+    from . import galois_codes as gc
+
     if isinstance(spec, gc.GaloisCodeSpec):
         return gc.build_galois_code(spec)
     return ec.build_eisenstein_code(spec)
 
 
 def cmd_code_build(args):
+    from . import galois_codes as gc
+
     spec = _code_spec_from_args(args)
     handle = _build_handle(spec)
     report = {
@@ -178,6 +181,10 @@ def cmd_code_build(args):
 
 
 def cmd_code_dual(args):
+    from . import eisenstein_codes as ec
+    from . import galois_codes as gc
+    from . import modlinalg
+
     spec = _code_spec_from_args(args)
     handle = _build_handle(spec)
     ambient = spec.N * spec.ring.log_p_card
@@ -194,8 +201,6 @@ def cmd_code_dual(args):
         }
     else:
         dual_handle = ec.eisenstein_dual_code(handle)
-        from . import modlinalg
-
         report = {
             "spec": spec.to_json(),
             "log_p_card": handle.log_p_card,
@@ -210,6 +215,8 @@ def cmd_code_dual(args):
 
 
 def cmd_code_weights(args):
+    from . import galois_codes as gc
+
     spec = _code_spec_from_args(args)
     handle = _build_handle(spec)
     weights = gc.weight_enumerator(handle, args.cap)
@@ -224,6 +231,8 @@ def cmd_code_weights(args):
 
 
 def cmd_chars(args):
+    from . import eisenstein_codes as ec
+
     ring = _ring_from_args(args)
     table = ec.character_table(ring)
     report = {
@@ -237,6 +246,8 @@ def cmd_chars(args):
 
 
 def cmd_verify(args):
+    from . import oracle
+
     spec = _code_spec_from_args(args)
     report = oracle.cross_check(spec, cap_log2=args.cap)
     _emit(report.to_json(), args.out)

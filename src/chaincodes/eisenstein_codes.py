@@ -26,6 +26,8 @@ from .errors import (
 )
 from .idempotents import idempotent_system
 
+_CHAR_TABLE_CAP = 2**10  # |R| above this would give more than 2^20 table entries
+
 
 def _require_rank_one(ring):
     if ring.r != 1:
@@ -104,6 +106,8 @@ def pairing_gram(ring, N=1):
 def character_table(ring):
     """The |R| x |R| exponent matrix beta(a, z) in canonical element order."""
     _require_rank_one(ring)
+    if ring.card > _CHAR_TABLE_CAP:
+        raise TooLargeError(f"character table of |R| = {ring.card} > {_CHAR_TABLE_CAP} elements")
     elems = ring.elements()
     return np.array([[pairing(a, z) for z in elems] for a in elems], dtype=np.int64)
 

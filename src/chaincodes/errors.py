@@ -71,3 +71,7 @@ class NonFreeModuleError(ChainCodesError, TypeError):
 
 class ProductMismatchError(ChainCodesError, ValueError):
     """Hensel input factors do not multiply to the target polynomial mod p."""
+
+
+class CertificateError(ChainCodesError, ArithmeticError):
+    """A computed object failed a check of the identities that define it."""

@@ -187,16 +187,14 @@ def _teichmuller_minpoly(fbar, p, n):
     return tuple(lifted)
 
 
-def find_basic_primitive_poly(p, n, d):
-    """Smallest monic degree-d polynomial over Z_{p^n} that is basic primitive
-    and divides X^(p^d - 1) - 1 (so its root is a Teichmuller generator).
+def first_primitive_fbar(p, d):
+    """The first monic primitive degree-d polynomial over F_p.
 
-    The search scans monic mod-p candidates in ascending coefficient order,
-    which keeps the output deterministic for serialization.
+    The scan runs over monic candidates in ascending coefficient order, which
+    keeps the output deterministic for serialization.
     """
     if d < 1:
         raise ParameterError("degree must be positive")
-    pn = p**n
     for code in range(p**d):
         coeffs = []
         c = code
@@ -206,12 +204,20 @@ def find_basic_primitive_poly(p, n, d):
         if coeffs[0] == 0:
             continue
         fbar = coeffs + [1]
-        if not intpoly.fp_is_primitive(fbar, p):
-            continue
-        lifted = _teichmuller_minpoly(fbar, p, n)
-        assert intpoly.ppowmod([0, 1], p**d - 1, list(lifted), pn) == [1]
-        return lifted
+        if intpoly.fp_is_primitive(fbar, p):
+            return fbar
     raise ParameterError(f"no primitive polynomial of degree {d} over F_{p}")
+
+
+def find_basic_primitive_poly(p, n, d):
+    """Smallest monic degree-d polynomial over Z_{p^n} that is basic primitive
+    and divides X^(p^d - 1) - 1 (so its root is a Teichmuller generator):
+    the Teichmuller lift of first_primitive_fbar(p, d).
+    """
+    fbar = first_primitive_fbar(p, d)
+    lifted = _teichmuller_minpoly(fbar, p, n)
+    assert intpoly.ppowmod([0, 1], p**d - 1, list(lifted), p**n) == [1]
+    return lifted
 
 
 # -- Hensel lifting -----------------------------------------------------------
@@ -372,23 +378,29 @@ class ExtensionDescriptor:
         return [aug[perm[i]][r] for i in range(r)]
 
 
-def build_extension(ring, N):
-    """Construct R_hat containing a primitive N-th root of unity."""
+def extension_degree(p, r, N):
+    """The least s with N | p^(r*s) - 1, refused when p^(r*s) passes the cap."""
     if N < 1:
         raise ParameterError("N must be positive")
-    if gcd(N, ring.p) != 1:
-        raise NonCoprimeError(f"gcd({N}, {ring.p}) != 1")
-    q = ring.p**ring.r
+    if gcd(N, p) != 1:
+        raise NonCoprimeError(f"gcd({N}, {p}) != 1")
+    q = p**r
     s = 1
     acc = q % N
     while acc != 1 % N:
         acc = (acc * q) % N
         s += 1
-        if ring.p ** (ring.r * s) > _EXT_CAP:
+        if p ** (r * s) > _EXT_CAP:
             raise TooLargeError(f"p^(r*s) exceeds {_EXT_CAP} for N = {N}")
-    if ring.p ** (ring.r * s) > _EXT_CAP:
+    if p ** (r * s) > _EXT_CAP:
         raise TooLargeError(f"p^(r*s) exceeds {_EXT_CAP} for N = {N}")
+    return s
 
+
+def build_extension(ring, N):
+    """Construct R_hat containing a primitive N-th root of unity."""
+    s = extension_degree(ring.p, ring.r, N)
+    q = ring.p**ring.r
     if s == 1:
         big = ring
         zeta = ring.omega

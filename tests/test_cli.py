@@ -131,6 +131,14 @@ def test_chars_rejects_rank_two(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [11, 21])
+def test_chars_over_cap_exits_2(n, tmp_path, capsys):
+    ring = tmp_path / "big.json"
+    ring.write_text(json.dumps({"p": 2, "n": n, "r": 1, "k": 1, "t": 1, "g_tail": [1]}))
+    assert main(["chars", "--ring", str(ring)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_both_families(files, capsys):
     assert main(["verify", "--code", files["gal_code"]]) == 0
     capsys.readouterr()

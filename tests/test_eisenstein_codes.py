@@ -10,6 +10,7 @@ from chaincodes.errors import (
     NonFreeModuleError,
     RankNotOneError,
     SpecShapeError,
+    TooLargeError,
 )
 from chaincodes.rings import ChainRing
 
@@ -32,6 +33,19 @@ REFERENCE_TABLE = [
 
 def test_character_table_reference_values(ring_eis):
     assert ec.character_table(ring_eis).tolist() == REFERENCE_TABLE
+
+
+@pytest.mark.parametrize("n", [11, 21])
+def test_character_table_refuses_rings_above_cap(n, monkeypatch):
+    """|R| > 2^10 would mean an |R|^2 table: refused before enumerating R."""
+    ring = ChainRing(2, n, 1, 1, 1, [1])  # Z_{2^n}
+
+    def enumerate_all():
+        raise AssertionError("the ring was enumerated")
+
+    monkeypatch.setattr(ring, "elements", enumerate_all)
+    with pytest.raises(TooLargeError):
+        ec.character_table(ring)
 
 
 def test_pairing_examples(ring_eis):

@@ -263,25 +263,26 @@ def test_built_codes_are_cyclic_and_s_closed(ring_gal, ring_m4):
 
 def kernel_trace_dual(ring, N, code):
     """Trace dual via congruence solving: independent of the closed form and
-    of brute enumeration, and feasible far beyond the oracle caps."""
+    of brute enumeration, and feasible far beyond the oracle caps.
+
+    Over the Z_{p^n}-basis b_u = w^i x^j (u = i*k + j), Tr(b_u g) is
+    sum_v g_v Tr(b_u b_v), so the Gram tensor T_s[u, v] = coordinate x^s of
+    Tr(b_u b_v), applied at every position as kron(I_N, T_s), gives each
+    constraint column at once.
+    """
     L = N * ring.r * ring.k
-    basis_vecs = []
-    for pos in range(N):
-        for i in range(ring.r):
-            for j in range(ring.k):
-                vec = [ring.zero] * N
-                vec[pos] = ring.element_from_term(i, j, 1)
-                basis_vecs.append(vec)
+    basis = [ring.element_from_term(i, j, 1) for i in range(ring.r) for j in range(ring.k)]
+    gram = np.array(
+        [[ring.trace_to_base(a * b).grid[0] for b in basis] for a in basis], dtype=np.int64
+    )
+    scale = np.array([ring.p if s >= ring.t else 1 for s in range(ring.k)], dtype=np.int64)
     blocks = []
     for row in code.stack.rows:
-        g = codes.unflatten_vector(ring, row, N)
-        block = np.zeros((L, ring.k), dtype=np.int64)
-        for cidx, vec in enumerate(basis_vecs):
-            tr = gc.trace_inner_product(ring, vec, g)
-            for jj in range(ring.k):
-                scale = ring.p if jj >= ring.t else 1
-                block[cidx, jj] = (tr.grid[0][jj] * scale) % ring.pn
-        blocks.append(block)
+        block = np.column_stack(
+            [np.kron(np.eye(N, dtype=np.int64), gram[:, :, s]) @ np.asarray(row, dtype=np.int64)
+             for s in range(ring.k)]
+        )
+        blocks.append(block * scale % ring.pn)
     cons = np.hstack(blocks) if blocks else np.zeros((L, 0), dtype=np.int64)
     ker = modlinalg.kernel_rows(cons, ring.p, ring.n)
     stack = GeneratorStack(ker, ring.p, ring.n, codes.ambient_caps(ring, N))

@@ -1,17 +1,28 @@
 """Idempotent systems, the mu involution, trace-dual bases, component bases."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from chaincodes import codes, polyops
-from chaincodes.errors import UnknownComponentError
+from chaincodes.errors import CertificateError, TooLargeError, UnknownComponentError
 from chaincodes.idempotents import (
+    certify,
     component_basis,
     idempotent_system,
     mu_involution,
+    primitive_idempotents,
     trace_dual_basis,
 )
+from chaincodes.polyfactory import build_extension, classify_cosets, minimal_polynomial
+from chaincodes.rings import ChainRing
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def poly_from_ints(ring, coeffs):
@@ -222,3 +233,202 @@ def test_unknown_component(ring_gal):
         component_basis(sys, "K", 0, h=0)  # coset 0 does not split
     with pytest.raises(UnknownComponentError):
         component_basis(sys, "Z", 0)
+
+
+# -- the certificate and its cross-checks ---------------------------------------------
+
+DEMO = ChainRing(2, 2, 2, 2, 1, [1, 0], f=[1, 1, 1])
+EIS = ChainRing(2, 2, 1, 2, 1, [1, 0])
+P3 = ChainRing(3, 2, 1, 2, 1, [1, 0])
+QUASI = ChainRing(2, 1, 1, 3, 3, [1, 0, 0])
+Z9W = ChainRing(3, 2, 2, 2, 1, [1, 0])  # Z_9[w][x]/<x^2+3, 3x>, r = 2
+
+
+def extension_system(ring, N):
+    """eps, eps_split, m-polys and mu from the extension ring R_hat: the DFT
+    N^-1 sum_{l in C} eta^(-jl) taken in R_hat and coerced down, and the mu
+    partner found by reversing the eps themselves."""
+    cls = classify_cosets(N, ring.p, ring.r)
+    ext = build_extension(ring, N)
+    n_inv = pow(N, -1, ring.pn)
+
+    def formula(coset, target):
+        out = []
+        for j in range(N):
+            acc = ext.big_ring.zero
+            for l in coset:
+                acc = acc + ext.eta_pow(-j * l)
+            out.append(ext.down(acc * n_inv, target))
+        return tuple(out)
+
+    keys = [(i, h) for i in range(cls.u + 1, cls.v + 1) for h in range(ring.r)]
+    eps = tuple(formula(coset, "base") for coset in cls.cosets_p)
+    mu = tuple(eps.index(tuple(mu_involution(ring, list(e), N))) for e in eps)
+    return {
+        "eps": eps,
+        "eps_split": {key: formula(cls.split_cosets[key], "full") for key in keys},
+        "m": tuple(tuple(minimal_polynomial(c, ext, "base")) for c in cls.cosets_p),
+        "m_split": {
+            key: tuple(minimal_polynomial(cls.split_cosets[key], ext, "full")) for key in keys
+        },
+        "mu_perm": mu,
+    }
+
+
+@pytest.mark.parametrize(
+    "ring,N",
+    [(DEMO, 3), (DEMO, 7), (DEMO, 21), (EIS, 21), (P3, 13), (P3, 26), (QUASI, 21), (Z9W, 4), (Z9W, 8)],
+)
+def test_system_matches_extension_formula(ring, N):
+    sys_ = idempotent_system(ring, N)
+    want = extension_system(ring, N)
+    assert sys_.eps == want["eps"]
+    assert sys_.eps_split == want["eps_split"]
+    assert sys_.m_polys["m"] == want["m"]
+    assert sys_.m_polys["m_split"] == want["m_split"]
+    assert sys_.mu_perm == want["mu_perm"]
+
+
+@pytest.mark.parametrize("ring,N", [(DEMO, 3), (DEMO, 5), (EIS, 7), (P3, 8), (QUASI, 7), (Z9W, 4)])
+def test_pairwise_identity_laws(ring, N):
+    """e_i e_j = delta_ij e_i, sum e_i = 1, the split refinements, and mu."""
+    sys_ = idempotent_system(ring, N)
+    mul = lambda a, b: polyops.pmul_mod_xn1(ring, list(a), list(b), N)
+    zero = [ring.zero] * N
+    one = polyops.pad(ring, [ring.one], N)
+    total = zero
+    for i, ei in enumerate(sys_.eps):
+        total = polyops.padd(ring, total, ei)
+        for j, ej in enumerate(sys_.eps):
+            assert mul(ei, ej) == (list(ei) if i == j else zero)
+    assert total == one
+    cls = sys_.cls
+    for i in range(cls.u + 1, cls.v + 1):
+        group = [sys_.eps_split[(i, h)] for h in range(ring.r)]
+        subtotal = zero
+        for h, e in enumerate(group):
+            subtotal = polyops.padd(ring, subtotal, e)
+            for h2, e2 in enumerate(group):
+                assert mul(e, e2) == (list(e) if h == h2 else zero)
+            for j, ej in enumerate(sys_.eps):
+                if j != i:
+                    assert mul(ej, e) == zero
+        assert subtotal == list(sys_.eps[i])
+    perm = sys_.mu_perm
+    assert perm[0] == 0
+    assert all(1 <= perm[i] <= cls.u for i in range(1, cls.u + 1))
+    assert all(cls.u + 1 <= perm[i] <= cls.v for i in range(cls.u + 1, cls.v + 1))
+    for i, ei in enumerate(sys_.eps):
+        assert mu_involution(ring, list(ei), N) == list(sys_.eps[perm[i]])
+
+
+def test_primitive_idempotents_keeps_its_extension():
+    ext = build_extension(DEMO, 21)
+    sys_ = primitive_idempotents(ext, classify_cosets(21, 2, 2))
+    assert sys_.ext is ext
+    assert sys_.eps == idempotent_system(DEMO, 21).eps
+    assert idempotent_system(DEMO, 21).ext is None
+
+
+def _bump(poly, pos, delta):
+    out = list(poly)
+    out[pos] = out[pos] + delta
+    return tuple(out)
+
+
+def _tampered(sys_, which):
+    ring, w = sys_.ring, sys_.ring.omega
+    if which == "eps coefficient + 1":
+        eps = list(sys_.eps)
+        eps[0] = _bump(eps[0], 0, ring.one)
+        return dataclasses.replace(sys_, eps=tuple(eps))
+    if which == "two eps swapped":
+        eps = list(sys_.eps)
+        eps[1], eps[2] = eps[2], eps[1]
+        return dataclasses.replace(sys_, eps=tuple(eps))
+    if which == "eps coefficient + 2 (same residue)":
+        eps = list(sys_.eps)
+        eps[0] = _bump(eps[0], 0, 2 * ring.one)  # mu fixes eps_0 and position 0
+        return dataclasses.replace(sys_, eps=tuple(eps))
+    if which == "split coefficient + 2w (same residue)":
+        split = dict(sys_.eps_split)
+        split[(3, 1)] = _bump(split[(3, 1)], 4, 2 * w)
+        return dataclasses.replace(sys_, eps_split=split)
+    if which == "eps coefficient + x":
+        eps = list(sys_.eps)
+        eps[1] = _bump(eps[1], 1, ring.x)
+        return dataclasses.replace(sys_, eps=tuple(eps))
+    if which == "split labels swapped":
+        split = dict(sys_.eps_split)
+        split[(3, 0)], split[(3, 1)] = split[(3, 1)], split[(3, 0)]
+        return dataclasses.replace(sys_, eps_split=split)
+    if which == "split coefficient + w":
+        split = dict(sys_.eps_split)
+        split[(3, 0)] = _bump(split[(3, 0)], 2, w)
+        return dataclasses.replace(sys_, eps_split=split)
+    if which == "m-poly coefficient + 2":
+        m = list(sys_.m_polys["m"])
+        m[1] = _bump(m[1], 0, 2 * ring.one)
+        return dataclasses.replace(sys_, m_polys={**sys_.m_polys, "m": tuple(m)})
+    if which == "mu permutation":
+        perm = list(sys_.mu_perm)
+        perm[3], perm[5] = perm[5], perm[3]
+        return dataclasses.replace(sys_, mu_perm=tuple(perm))
+    raise ValueError(which)
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        "eps coefficient + 1",
+        "two eps swapped",
+        "eps coefficient + 2 (same residue)",
+        "split coefficient + 2w (same residue)",
+        "eps coefficient + x",
+        "split labels swapped",
+        "split coefficient + w",
+        "m-poly coefficient + 2",
+        "mu permutation",
+    ],
+)
+def test_certify_rejects_tampered_system(which):
+    sys_ = idempotent_system(DEMO, 21)  # leaders 0, 3, 9 | 1, 5, 7 (split)
+    certify(sys_)
+    with pytest.raises(CertificateError):
+        certify(_tampered(sys_, which))
+
+
+def test_certify_raises_under_python_O():
+    """The certificate is made of explicit checks: they survive `python -O`."""
+    script = textwrap.dedent(
+        """
+        import dataclasses
+        from chaincodes.errors import CertificateError
+        from chaincodes.idempotents import certify, idempotent_system
+        from chaincodes.rings import ChainRing
+
+        assert False, "asserts must be off"
+        sys_ = idempotent_system(ChainRing(2, 2, 2, 2, 1, [1, 0], f=[1, 1, 1]), 7)
+        moved = list(sys_.eps)
+        moved[0] = (moved[0][0] + 1,) + tuple(moved[0][1:])
+        swapped = list(sys_.eps)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        for eps in (moved, swapped):
+            try:
+                certify(dataclasses.replace(sys_, eps=tuple(eps)))
+            except CertificateError:
+                print("refused")
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused", "refused"]
+
+
+def test_extension_cap_still_refused(ring_p3):
+    """p^(r*s) above 2^31 is refused as before: 3^30 for N = 31."""
+    with pytest.raises(TooLargeError):
+        idempotent_system(ring_p3, 31)
