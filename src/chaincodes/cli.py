@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ChainCodesError, ParameterError, TooLargeError
+from .errors import CertificateError, ChainCodesError, ParameterError, TooLargeError
 from .polyfactory import classify_cosets
 from .rings import ChainRing
 
@@ -162,7 +162,7 @@ def _build_handle(spec):
 
 
 def cmd_code_build(args):
-    from . import galois_codes as gc
+    from . import codes
 
     spec = _code_spec_from_args(args)
     handle = _build_handle(spec)
@@ -172,7 +172,7 @@ def cmd_code_build(args):
         "generators": handle.stack.rows,
     }
     try:
-        weights = gc.weight_enumerator(handle, args.cap)
+        weights = codes.weight_enumerator(handle, args.cap)
         report["min_weight"] = min((w for w in weights if w > 0), default=0)
     except TooLargeError:
         report["min_weight"] = None
@@ -208,18 +208,19 @@ def cmd_code_dual(args):
             "self_dual": bool(modlinalg.stacks_equal(handle.stack, dual_handle.stack)),
             "dual_generators": dual_handle.stack.rows,
         }
-    assert handle.log_p_card + dual_handle.log_p_card == ambient, "counting identity failed"
+    if handle.log_p_card + dual_handle.log_p_card != ambient:
+        raise CertificateError("counting identity failed: log|C| + log|C^dual| != N log|R|")
     report["ambient_log_p"] = ambient
     _emit(report, args.out)
     return EXIT_OK
 
 
 def cmd_code_weights(args):
-    from . import galois_codes as gc
+    from . import codes
 
     spec = _code_spec_from_args(args)
     handle = _build_handle(spec)
-    weights = gc.weight_enumerator(handle, args.cap)
+    weights = codes.weight_enumerator(handle, args.cap)
     report = {
         "spec": spec.to_json(),
         "log_p_card": handle.log_p_card,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modlinalg
-from .errors import LengthMismatchError, TooLargeError
-from .modlinalg import GeneratorStack
+from .errors import CertificateError, LengthMismatchError, TooLargeError
+from .modlinalg import GeneratorStack, HowellForm
 
 
 def ambient_caps(ring, N):
@@ -43,17 +43,14 @@ def unflatten_vector(ring, row, N):
 
 @dataclass
 class CodeHandle:
-    """A built additive cyclic code: spec, canonical generator stack, size."""
+    """A built additive cyclic code: spec, Howell form of its span, size."""
 
     family: str
     ring: object
     N: int
     spec: object
-    stack: GeneratorStack
+    stack: HowellForm
     log_p_card: int
-
-    def words(self, cap_log2=20):
-        return enumerate_words(self, cap_log2)
 
 
 def handle_from_vectors(family, ring, N, spec, vectors):
@@ -63,22 +60,12 @@ def handle_from_vectors(family, ring, N, spec, vectors):
         else np.zeros((0, N * ring.r * ring.k), dtype=np.int64)
     )
     stack = GeneratorStack(rows, ring.p, ring.n, ambient_caps(ring, N))
-    nf = modlinalg.normal_form(stack)
-    stack = GeneratorStack(nf, ring.p, ring.n, stack.cap_exps)
-    return CodeHandle(
-        family=family,
-        ring=ring,
-        N=N,
-        spec=spec,
-        stack=stack,
-        log_p_card=modlinalg.subgroup_order_log_p(stack),
-    )
+    return handle_from_stack(family, ring, N, spec, stack)
 
 
 def handle_from_stack(family, ring, N, spec, stack):
-    nf = modlinalg.normal_form(stack)
-    stack = GeneratorStack(nf, ring.p, ring.n, stack.cap_exps)
-    return CodeHandle(family, ring, N, spec, stack, modlinalg.subgroup_order_log_p(stack))
+    form = modlinalg.howell_form(stack)
+    return CodeHandle(family, ring, N, spec, form, modlinalg.subgroup_order_log_p(form))
 
 
 def handles_equal(a, b):
@@ -125,7 +112,8 @@ def _scaled_rows(handle):
 def _unscale(handle, scaled):
     stack = handle.stack
     scale = np.array([stack.p ** (stack.n - e) for e in stack.cap_exps], dtype=np.int64)
-    assert not (scaled % scale).any()
+    if (scaled % scale).any():
+        raise CertificateError("a scaled codeword left the p-scaled ambient")
     return scaled // scale
 
 
@@ -135,13 +123,15 @@ def _scaled_basis(handle, cap_log2):
     module whose Howell form enumerates the code without duplicates."""
     stack = handle.stack
     p, n = stack.p, stack.n
-    mat, pivots = modlinalg._howell(list(_scaled_rows(handle)), p, n, stack.ncols)
-    log_p = sum(n - v for _, v in pivots)
-    assert log_p == handle.log_p_card
+    scaled = GeneratorStack(_scaled_rows(handle), p, n, (n,) * stack.ncols)
+    form = modlinalg.howell_form(scaled)
+    log_p = modlinalg.subgroup_order_log_p(form)
+    if log_p != handle.log_p_card:
+        raise CertificateError(f"p-scaled span has p^{log_p} words, the code p^{handle.log_p_card}")
     if log_p * np.log2(p) > cap_log2:
         raise TooLargeError(f"code has p^{log_p} words, cap is 2^{cap_log2}")
-    ranges = [p ** (n - v) for _, v in pivots]
-    return mat, ranges, p**log_p
+    ranges = [p ** (n - v) for _, v in form.pivots]
+    return form.rows, ranges, p**log_p
 
 
 def _digit_block(idx, ranges):

@@ -18,6 +18,7 @@ import numpy as np
 from . import codes, modlinalg, polyops
 from .codes import CodeHandle
 from .errors import (
+    CertificateError,
     ClosureChangedCodeError,
     NonFreeModuleError,
     RankNotOneError,
@@ -132,9 +133,10 @@ def char_inner_product(a, b):
         return 1
     # nontrivial character: exponents form a coset-uniform family summing to 0
     image = sorted(counts)
-    assert len(set(counts.values())) == 1, "character image not uniform"
-    d = image[1]
-    assert image == list(range(0, ring.pn, d)), "character image not a subgroup"
+    if len(set(counts.values())) != 1:
+        raise CertificateError("character image not uniform")
+    if image != list(range(0, ring.pn, image[1])):
+        raise CertificateError("character image not a subgroup")
     return 0
 
 
@@ -153,7 +155,7 @@ def annihilator_subgroup(ring, generators):
 def eisenstein_dual_code(code: CodeHandle) -> CodeHandle:
     """Character-annihilator dual: solve beta-orthogonality against the code.
 
-    The counting identity log|C| + log|C^dual| = N log|R| is asserted before
+    The counting identity log|C| + log|C^dual| = N log|R| is checked before
     returning; it is exactly the one-to-oneness the character duality buys.
     """
     ring = code.ring
@@ -161,9 +163,8 @@ def eisenstein_dual_code(code: CodeHandle) -> CodeHandle:
     gram = pairing_gram(ring, code.N)
     dual_stack = modlinalg.solve_orthogonal(gram, code.stack)
     handle = codes.handle_from_stack("eisenstein", ring, code.N, None, dual_stack)
-    assert code.log_p_card + handle.log_p_card == code.N * ring.log_p_card, (
-        "character duality violated the counting identity"
-    )
+    if code.log_p_card + handle.log_p_card != code.N * ring.log_p_card:
+        raise CertificateError("character duality violated the counting identity")
     return handle
 
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import codes, modlinalg, polyops
-from .codes import CodeHandle, weight_enumerator  # re-exported surface
+from .codes import CodeHandle
 from .errors import NotCyclicError, NotDecomposableError, SpecShapeError
 from .idempotents import idempotent_system
-
-trace_inner_product = codes.trace_inner_product
 
 
 @dataclass(frozen=True)

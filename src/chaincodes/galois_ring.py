@@ -51,6 +51,17 @@ class GaloisRing:
         return result
 
 
+def root_product(gr, roots):
+    """prod (X - root) over the given roots, low coefficients first."""
+    poly = [gr.one]
+    for root in roots:
+        out = [gr.zero] + poly
+        for k, c in enumerate(poly):
+            out[k] = gr.sub(out[k], gr.mul(root, c))
+        poly = out
+    return poly
+
+
 def cyclic_mul(gr, a, b, N):
     """a*b in gr[X]/<X^N - 1>.
 

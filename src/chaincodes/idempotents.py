@@ -24,6 +24,7 @@ from .galois_ring import (
     divides_xn1,
     lift_divisor,
     lift_idempotent,
+    root_product,
 )
 from .intpoly import factorize
 from .polyfactory import classify_cosets, extension_degree, first_primitive_fbar
@@ -46,15 +47,6 @@ class IdempotentSystem:
     m_polys: dict
     mu_perm: tuple
     theta: tuple = field(default=None)
-
-    def eps_poly(self, i, h=None):
-        if h is None:
-            if 0 <= i <= self.cls.v:
-                return list(self.eps[i])
-            raise UnknownComponentError(f"no component {i}")
-        if (i, h) in self.eps_split:
-            return list(self.eps_split[(i, h)])
-        raise UnknownComponentError(f"no split component ({i}, {h})")
 
 
 class RootsModP:
@@ -130,14 +122,7 @@ class RootsModP:
 
     def minpoly_mod_p(self, coset, split):
         """prod_{l in coset} (X - eta^l), as a list of down() coordinates."""
-        F = self.field
-        poly = [F.one]
-        for l in coset:
-            root = self.eta_pows[l]
-            out = [F.zero] + poly
-            for k, c in enumerate(poly):
-                out[k] = F.sub(out[k], F.mul(root, c))
-            poly = out
+        poly = root_product(self.field, [self.eta_pows[l] for l in coset])
         return [self.down(c, split) for c in poly]
 
     def evaluate(self, coeffs, rows, l):
@@ -332,10 +317,6 @@ def certify(sys, roots=None):
 def mu_involution(ring, poly, N):
     """a(X) -> X^N a(X^{-1}) mod X^N - 1 (coefficient reversal)."""
     return polyops.mu_reverse(ring, poly, N)
-
-
-def mu_perm(sys, i):
-    return sys.mu_perm[i]
 
 
 def trace_dual_basis(ring):

@@ -5,6 +5,8 @@ with a single modulus p^n plus implicit relation rows p^e * e_j for the
 coordinates j of additive order p^e < p^n.  The canonical form is a Howell
 form: two generator stacks span the same subgroup exactly when their normal
 forms are identical, which is what code equality and dual round-trips lean on.
+howell_form computes it once per span; the HowellForm it returns keeps its
+pivots, and every query takes such a form as it is.
 """
 
 from __future__ import annotations
@@ -128,29 +130,36 @@ def _howell(rows, p, n, ncols):
     return mat, [(piv[0], piv[1]) for piv in pivots]
 
 
-def _span_log_p(rows, p, n, ncols):
-    _, pivots = _howell(rows, p, n, ncols)
-    return sum(n - v for _, v in pivots)
+@dataclass
+class HowellForm(GeneratorStack):
+    """A generator stack whose rows are the Howell form of their own span,
+    relation rows included; pivots lists (column, valuation) per row.
+
+    Only howell_form builds one, and every query below reads it as it is.
+    """
+
+    pivots: tuple
+
+
+def howell_form(stack):
+    """The canonical form of the span: a HowellForm is returned unchanged."""
+    if isinstance(stack, HowellForm):
+        return stack
+    rows = list(stack.rows) + stack.relation_rows()
+    mat, pivots = _howell(rows, stack.p, stack.n, stack.ncols)
+    return HowellForm(mat, stack.p, stack.n, stack.cap_exps, tuple(pivots))
 
 
 def normal_form(stack):
     """Canonical row set: identical for any generating set of the subgroup."""
-    rows = list(stack.rows) + stack.relation_rows()
-    mat, _ = _howell(rows, stack.p, stack.n, stack.ncols)
-    return mat
-
-
-def normal_form_with_pivots(stack):
-    rows = list(stack.rows) + stack.relation_rows()
-    return _howell(rows, stack.p, stack.n, stack.ncols)
+    return howell_form(stack).rows
 
 
 def subgroup_order_log_p(stack):
     """log_p of the subgroup of the mixed-order ambient spanned by the rows."""
-    p, n, ncols = stack.p, stack.n, stack.ncols
-    full = _span_log_p(list(stack.rows) + stack.relation_rows(), p, n, ncols)
-    rel = sum(n - e for e in stack.cap_exps)
-    return full - rel
+    n = stack.n
+    full = sum(n - v for _, v in howell_form(stack).pivots)
+    return full - sum(n - e for e in stack.cap_exps)
 
 
 def contains(stack, vector):
@@ -159,9 +168,9 @@ def contains(stack, vector):
         raise LengthMismatchError(f"vector length {len(vector)} != {stack.ncols}")
     p, n = stack.p, stack.n
     pn = p**n
-    mat, pivots = normal_form_with_pivots(stack)
+    form = howell_form(stack)
     v = np.asarray(vector, dtype=np.int64) % pn
-    for row, (col, val) in zip(mat, pivots):
+    for row, (col, val) in zip(form.rows, form.pivots):
         x = int(v[col])
         if x:
             if x % p**val:
@@ -176,9 +185,9 @@ def kernel_rows(mat, p, n):
     nrows, ncols = mat.shape
     pn = p**n
     aug = np.hstack([mat % pn, np.eye(nrows, dtype=np.int64)])
-    hmat, pivots = _howell(list(aug), p, n, ncols + nrows)
+    form = howell_form(GeneratorStack(aug, p, n, (n,) * (ncols + nrows)))
     out = []
-    for row, (col, _) in zip(hmat, pivots):
+    for row, (col, _) in zip(form.rows, form.pivots):
         if col >= ncols:
             out.append(row[ncols:])
     if out:
@@ -187,7 +196,7 @@ def kernel_rows(mat, p, n):
 
 
 def solve_orthogonal(gram, stack):
-    """Annihilator {a : a @ gram @ c = 0 for all c in the span} as a stack.
+    """Annihilator {a : a @ gram @ c = 0 for all c in the span} as a HowellForm.
 
     gram is the Gram matrix of a Z_{p^n}-bilinear pairing on the ambient; the
     relation rows are included on the constraint side, so a pairing that is
@@ -204,9 +213,7 @@ def solve_orthogonal(gram, stack):
         constraints = matmul_mod(gram, cmat.T, pn)
     else:
         constraints = np.zeros((stack.ncols, 0), dtype=np.int64)
-    rows = kernel_rows(constraints, p, n)
-    out = GeneratorStack(rows, p, n, stack.cap_exps)
-    return GeneratorStack(normal_form(out), p, n, stack.cap_exps)
+    return howell_form(GeneratorStack(kernel_rows(constraints, p, n), p, n, stack.cap_exps))
 
 
 def stacks_equal(a, b):

@@ -87,26 +87,12 @@ class _Space:
         return int(self.encode(np.array(flat, dtype=np.int64).reshape(1, -1))[0])
 
 
-def _closure_keys(space, rows):
-    """Additive closure of generator rows (flat coordinates) as sorted keys."""
-    keys = np.zeros(1, dtype=np.int64)
-    for row in rows:
-        row = np.asarray(row, dtype=np.int64) % space.caps
-        if not row.any():
-            continue
-        while True:
-            coords = space.decode(keys)
-            shifted = space.encode(coords + row)
-            merged = np.unique(np.concatenate([keys, shifted]))
-            if len(merged) == len(keys):
-                break
-            keys = merged
-    return keys
-
-
 def enumerate_handle(space, handle):
     """Codewords of a built handle, via closure of its stack rows."""
-    return _closure_keys(space, list(handle.stack.rows))
+    keys = np.zeros(1, dtype=np.int64)
+    for row in handle.stack.rows:
+        keys = _closure_keys_from(space, keys, row)
+    return keys
 
 
 def _check_cap(ring, N, cap_log2):
@@ -277,6 +263,7 @@ def verify_additive_cyclic(space, keys, base="chain"):
 
 
 def _closure_keys_from(space, keys, row):
+    """Sorted keys of the subgroup keys + <row>, row in flat coordinates."""
     row = np.asarray(row, dtype=np.int64) % space.caps
     if not row.any():
         return keys

@@ -14,6 +14,7 @@ from math import gcd
 
 from . import intpoly, polyops
 from .errors import (
+    CertificateError,
     CoercionFailedError,
     NonCoprimeError,
     ParameterError,
@@ -21,6 +22,7 @@ from .errors import (
     RankNotPrimeError,
     TooLargeError,
 )
+from .galois_ring import GaloisRing, root_product
 from .rings import ChainRing
 
 _EXT_CAP = 2**31  # p^(r*s) stays below this, mirroring the base-ring cap
@@ -143,50 +145,6 @@ def classify_cosets(N, p, r):
 # -- basic primitive polynomials ---------------------------------------------
 
 
-def _teichmuller_minpoly(fbar, p, n):
-    """Lift a primitive fbar over F_p to the minimal polynomial over Z_{p^n}
-    of the Teichmuller representative of its root.
-
-    Works inside Z_{p^n}[y]/<F0> with F0 the verbatim lift of fbar: iterate
-    z <- z^(p^d) until it stabilizes on the Teichmuller element tau, then
-    read off the monic degree-d relation satisfied by tau with one linear
-    solve (the power matrix is unipotent mod p, so pivots are units).
-    """
-    d = len(fbar) - 1
-    pn = p**n
-    F0 = [c % pn for c in fbar]
-    tau = [0, 1] if d > 1 else intpoly.pdivmod_monic([0, 1], F0, pn)[1]
-    for _ in range(max(n - 1, 0)):
-        tau = intpoly.ppowmod(tau, p**d, F0, pn)
-    assert intpoly.ppowmod(tau, p**d, F0, pn) == tau
-
-    def coords(poly):
-        poly = list(poly) + [0] * (d - len(poly))
-        return poly[:d]
-
-    cols = []
-    power = [1]
-    for _ in range(d):
-        cols.append(coords(power))
-        power = intpoly.pdivmod_monic(intpoly.pmul(power, tau, pn), F0, pn)[1]
-    target = [(-c) % pn for c in coords(power)]
-
-    # solve sum_i c_i * cols[i] = target mod p^n by Gaussian elimination
-    aug = [[cols[i][row] for i in range(d)] + [target[row]] for row in range(d)]
-    for col in range(d):
-        piv = next(row for row in range(col, d) if aug[row][col] % p)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, pn)
-        aug[col] = [(c * inv) % pn for c in aug[col]]
-        for row in range(d):
-            if row != col and aug[row][col]:
-                q = aug[row][col]
-                aug[row] = [(a - q * b) % pn for a, b in zip(aug[row], aug[col])]
-    lifted = [aug[i][d] for i in range(d)] + [1]
-    assert [c % p for c in lifted] == fbar
-    return tuple(lifted)
-
-
 def first_primitive_fbar(p, d):
     """The first monic primitive degree-d polynomial over F_p.
 
@@ -213,10 +171,23 @@ def find_basic_primitive_poly(p, n, d):
     """Smallest monic degree-d polynomial over Z_{p^n} that is basic primitive
     and divides X^(p^d - 1) - 1 (so its root is a Teichmuller generator):
     the Teichmuller lift of first_primitive_fbar(p, d).
+
+    In GaloisRing(p^n, fbar), y^(p^(d(n-1))) is the Teichmuller root tau of
+    fbar, and its minimal polynomial is the product over its conjugates
+    tau^(p^i), i < d.
     """
-    fbar = first_primitive_fbar(p, d)
-    lifted = _teichmuller_minpoly(fbar, p, n)
-    assert intpoly.ppowmod([0, 1], p**d - 1, list(lifted), p**n) == [1]
+    pn = p**n
+    gr = GaloisRing(pn, first_primitive_fbar(p, d))
+    tau = gr.pow(gr.reduce([0, 1]), p ** (d * (n - 1)))
+    conjugates = [tau]
+    for _ in range(d - 1):
+        conjugates.append(gr.pow(conjugates[-1], p))
+    poly = root_product(gr, conjugates)
+    if any(c[1:] != gr.zero[1:] for c in poly):
+        raise CertificateError(f"Teichmuller minimal polynomial leaves Z_{pn}")
+    lifted = tuple(c[0] for c in poly)
+    if intpoly.ppowmod([0, 1], p**d - 1, list(lifted), pn) != [1]:
+        raise CertificateError(f"X^{p**d - 1} is not 1 modulo the Teichmuller lift")
     return lifted
 
 

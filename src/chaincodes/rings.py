@@ -138,9 +138,6 @@ class ChainRingElement:
         """Largest v with self in <x^v>; the zero element returns m."""
         return self.ring._x_valuation(self)
 
-    def teichmuller_digits(self):
-        return self.ring.x_adic_digits(self)
-
     def frobenius(self):
         return self.ring.frobenius(self)
 
@@ -278,9 +275,6 @@ class ChainRing:
     def x_pow(self, e):
         """x**e, with everything from e = m on collapsing to zero."""
         return self._x_pows[min(e, self.m)]
-
-    def element_from_json(self, rows):
-        return self.element(rows)
 
     # -- canonical enumeration ------------------------------------------------
 

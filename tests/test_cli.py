@@ -1,6 +1,10 @@
 """The command-line interface: reports, exit codes, determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -202,3 +206,27 @@ def test_out_flag(files, capsys, tmp_path):
     assert code == 0
     assert json.loads(target.read_text())["m"] == 3
     assert capsys.readouterr().out == ""
+
+
+def test_wrong_dual_fails_under_python_O(files):
+    """The counting identity is an explicit check: a wrong dual exits nonzero
+    with `python -O` too."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from chaincodes import galois_codes
+        from chaincodes.cli import main
+
+        assert False, "asserts must be off"
+        galois_codes.dual_galois_code = lambda spec: spec
+        sys.exit(main(["code", "dual", "--code", {files["gal_code"]!r}]))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode != 0
+    assert out.stderr.startswith("error:"), out.stderr
+    assert out.stdout == ""

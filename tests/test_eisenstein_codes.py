@@ -6,6 +6,7 @@ import pytest
 
 from chaincodes import codes, eisenstein_codes as ec, modlinalg
 from chaincodes.errors import (
+    CertificateError,
     ClosureChangedCodeError,
     NonFreeModuleError,
     RankNotOneError,
@@ -243,7 +244,7 @@ def test_non_freeness_guard(ring_eis, ring_p3):
 def test_k0_weight_distribution(ring_eis):
     """K_0 = {a(1,1,1) : a in Z_4} as a length-3 code: one zero word, three of
     weight 3."""
-    from chaincodes.galois_codes import weight_enumerator
+    from chaincodes.codes import weight_enumerator
 
     k0 = ec.build_eisenstein_code(
         ec.EisensteinCodeSpec(ring=ring_eis, N=3, a=((1, 0, 0), (0, 0, 0)))
@@ -257,3 +258,10 @@ def test_trace_refused_even_when_free(ring_m4):
     code = ec.build_eisenstein_code(spec)
     with pytest.raises(NonFreeModuleError):
         ec.trace_dual_code(code)
+
+
+def test_dual_counting_identity_is_checked(ring_eis, monkeypatch):
+    code = ec.build_eisenstein_code(ec.EisensteinCodeSpec(ring=ring_eis, N=3, a=EX_A))
+    monkeypatch.setattr(modlinalg, "solve_orthogonal", lambda gram, stack: stack)
+    with pytest.raises(CertificateError):
+        ec.eisenstein_dual_code(code)

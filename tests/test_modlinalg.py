@@ -144,3 +144,68 @@ def test_double_annihilator_is_identity():
             ml.subgroup_order_log_p(s) + ml.subgroup_order_log_p(ann)
             == s.ambient_log_p()
         )
+
+
+@st.composite
+def raw_stacks(draw):
+    """Random stacks over Z_{p^n}, p in {2, 3}, n <= 3, caps anywhere in [0, n]."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    ncols = draw(st.integers(1, 5))
+    caps = tuple(draw(st.lists(st.integers(0, n), min_size=ncols, max_size=ncols)))
+    entry = st.integers(0, p**n - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    return stack(rows, caps, p=p, n=n)
+
+
+@given(raw=raw_stacks(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_howell_form_is_idempotent_and_read_as_is(raw, data):
+    form = ml.howell_form(raw)
+    assert ml.howell_form(form) is form
+    again = ml.howell_form(GeneratorStack(form.rows, raw.p, raw.n, raw.cap_exps))
+    assert again.rows.tolist() == form.rows.tolist()
+    assert again.pivots == form.pivots
+    assert np.array_equal(ml.normal_form(raw), ml.normal_form(form))
+    assert ml.subgroup_order_log_p(raw) == ml.subgroup_order_log_p(form)
+    assert ml.stacks_equal(raw, form) and ml.stacks_equal(form, raw)
+    entry = st.integers(0, raw.p**raw.n - 1)
+    vec = data.draw(st.lists(entry, min_size=raw.ncols, max_size=raw.ncols))
+    assert ml.contains(raw, vec) == ml.contains(form, vec)
+    for row in raw.rows:
+        assert ml.contains(form, row)
+
+
+@pytest.fixture
+def howell_calls(monkeypatch):
+    """Counts the Howell reductions run from here on."""
+    calls = []
+    inner = ml._howell
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(ml, "_howell", counted)
+    return calls
+
+
+def test_one_howell_reduction_per_span(ring_gal, ring_eis, howell_calls):
+    from chaincodes import codes, eisenstein_codes as ec, galois_codes as gc
+
+    gal = gc.build_galois_code(gc.GaloisCodeSpec(ring=ring_gal, N=3, e=((0, 2), (1, 3))))
+    assert len(howell_calls) == 1
+    eis_spec = ec.EisensteinCodeSpec(ring=ring_eis, N=3, a=((1, 1, 0), (0, 1, 0)))
+    eis = ec.build_eisenstein_code(eis_spec)
+    assert len(howell_calls) == 2
+    howell_calls.clear()
+    dual = ec.eisenstein_dual_code(eis)
+    assert len(howell_calls) == 2  # the kernel, then the dual's form
+    howell_calls.clear()
+    for handle in (gal, eis, dual):
+        form = handle.stack
+        ml.contains(form, codes.shift_row(handle.ring, form.rows[0]))
+        ml.subgroup_order_log_p(form)
+        ml.stacks_equal(form, form)
+        ml.normal_form(form)
+    assert howell_calls == []

@@ -2,8 +2,9 @@
 
 import pytest
 
-from chaincodes import intpoly, polyops
+from chaincodes import intpoly, polyfactory, polyops
 from chaincodes.errors import (
+    CertificateError,
     CoercionFailedError,
     NonCoprimeError,
     ProductMismatchError,
@@ -119,6 +120,19 @@ def test_basic_primitive_root_order(p, n, d):
     assert intpoly.ppowmod([0, 1], order, f, pn) == [1]
     for q in intpoly.factorize(order):
         assert intpoly.ppowmod([0, 1], order // q, f, pn) != [1]
+
+
+def test_basic_primitive_checks_its_product(monkeypatch):
+    """A conjugate product that leaves Z_{p^n}, or is not the Teichmuller
+    minimal polynomial, is refused."""
+    product = polyfactory.root_product
+    monkeypatch.setattr(polyfactory, "root_product", lambda gr, roots: product(gr, roots[:1] * 2))
+    with pytest.raises(CertificateError, match="leaves"):
+        find_basic_primitive_poly(2, 2, 2)
+    shifted = lambda gr, roots: [gr.add(c, gr.one) for c in product(gr, roots)[:-1]] + [gr.one]
+    monkeypatch.setattr(polyfactory, "root_product", shifted)
+    with pytest.raises(CertificateError, match="is not 1"):
+        find_basic_primitive_poly(2, 2, 2)
 
 
 # -- Hensel lifting ---------------------------------------------------------------

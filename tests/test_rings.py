@@ -352,7 +352,7 @@ def test_json_round_trip(ring_gal):
     again = ChainRing.from_json(obj)
     assert again == ring_gal
     e = 2 * ring_gal.omega + ring_gal.x + 1
-    assert ring_gal.element_from_json(e.to_json()) == e
+    assert ring_gal.element(e.to_json()) == e
 
 
 def test_element_index_round_trip(ring_gal):
