@@ -4,6 +4,11 @@ A codeword vector of N ring elements is flattened position-major into the
 integer coordinates (pos, i, j) -> a^{(pos)}_{i,j}; coordinate order caps
 follow the ring columns (p^n below x-degree t, p^(n-1) from t on).  Codes are
 generator stacks over Z_{p^n} in those coordinates.
+
+A ring scalar c acts on each block of r*k coordinates as one fixed integer
+matrix (mul_matrix), and X^l acts as a roll by l blocks (shift_row), so the
+builders and closure tests work on integer rows without boxing coordinates
+into ring elements.
 """
 
 from __future__ import annotations
@@ -23,22 +28,12 @@ def ambient_caps(ring, N):
 
 
 def flatten_vector(ring, vec):
-    out = []
-    for elem in vec:
-        for row in elem.grid:
-            out.extend(row)
-    return np.array(out, dtype=np.int64)
+    return np.array([c for elem in vec for row in elem.grid for c in row], dtype=np.int64)
 
 
 def unflatten_vector(ring, row, N):
-    row = [int(c) for c in row]
-    per = ring.r * ring.k
-    out = []
-    for pos in range(N):
-        chunk = row[pos * per : (pos + 1) * per]
-        grid = [chunk[i * ring.k : (i + 1) * ring.k] for i in range(ring.r)]
-        out.append(ring.element(grid))
-    return out
+    grids = np.asarray(row, dtype=np.int64).reshape(N, ring.r, ring.k).tolist()
+    return [ring.element(grid) for grid in grids]
 
 
 @dataclass
@@ -54,12 +49,13 @@ class CodeHandle:
 
 
 def handle_from_vectors(family, ring, N, spec, vectors):
-    rows = (
-        np.vstack([flatten_vector(ring, v) for v in vectors])
-        if vectors
-        else np.zeros((0, N * ring.r * ring.k), dtype=np.int64)
-    )
-    stack = GeneratorStack(rows, ring.p, ring.n, ambient_caps(ring, N))
+    return handle_from_rows(family, ring, N, spec, [flatten_vector(ring, v) for v in vectors])
+
+
+def handle_from_rows(family, ring, N, spec, rows):
+    """Handle spanned by flat integer rows (a list of length N*r*k arrays)."""
+    mat = np.vstack(rows) if rows else np.zeros((0, N * ring.r * ring.k), dtype=np.int64)
+    stack = GeneratorStack(mat, ring.p, ring.n, ambient_caps(ring, N))
     return handle_from_stack(family, ring, N, spec, stack)
 
 
@@ -76,10 +72,34 @@ def handles_equal(a, b):
     )
 
 
-def shift_row(ring, row):
-    """Cyclic shift (a_1,...,a_N) -> (a_N, a_1, ...) on a flattened row."""
+def mul_matrix(ring, c):
+    """The (r*k) x (r*k) integer matrix of z -> c*z on one position's block:
+    row i*k + j holds the flat coordinates of c * w^i x^j."""
+    return np.vstack([
+        flatten_vector(ring, [c * ring.element_from_term(i, j, 1)])
+        for i in range(ring.r)
+        for j in range(ring.k)
+    ])
+
+
+def times(ring, flat, c):
+    """Flat rows of c * v, position by position, for every flattened row v.
+
+    One mul_matrix acts on every block of r*k coordinates, and each column
+    is then reduced modulo its own order, so the output is exactly the
+    flattening of the element-wise products.
+    """
+    flat = np.asarray(flat, dtype=np.int64)
     per = ring.r * ring.k
-    return np.roll(np.asarray(row), per)
+    blocks = modlinalg.matmul_mod(flat.reshape(-1, per), mul_matrix(ring, c), ring.pn)
+    return (blocks % np.array(ring.col_mod * ring.r, dtype=np.int64)).reshape(flat.shape)
+
+
+def shift_row(ring, row, l=1):
+    """Cyclic shift by X^l: (a_1,...,a_N) -> (a_N, a_1, ...) for l = 1, on a
+    flattened row."""
+    per = ring.r * ring.k
+    return np.roll(np.asarray(row), l * per)
 
 
 def is_shift_closed(handle):
@@ -90,13 +110,8 @@ def is_shift_closed(handle):
 
 
 def is_x_closed(handle):
-    ring = handle.ring
-    for row in handle.stack.rows:
-        vec = unflatten_vector(ring, row, handle.N)
-        moved = flatten_vector(ring, [ring.x * c for c in vec])
-        if not modlinalg.contains(handle.stack, moved):
-            return False
-    return True
+    moved = times(handle.ring, handle.stack.rows, handle.ring.x)
+    return all(modlinalg.contains(handle.stack, row) for row in moved)
 
 
 def _scaled_rows(handle):

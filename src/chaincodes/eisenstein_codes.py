@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import codes, modlinalg, polyops
+from . import codes, modlinalg
 from .codes import CodeHandle
 from .errors import (
     CertificateError,
@@ -70,15 +70,14 @@ def build_eisenstein_code(spec) -> CodeHandle:
     """Span of {x^j eps_i X^l : a_{i,j} = 1} over Z_{p^n}."""
     sys = _checked_system(spec)
     ring, N, cls = spec.ring, spec.N, sys.cls
-    vectors = []
+    rows = []
     for i in range(cls.v + 1):
+        flat = codes.flatten_vector(ring, sys.eps[i])
         for j in range(ring.m):
-            if not spec.a[i][j]:
-                continue
-            scaled = polyops.pscale(sys.eps[i], ring.x_pow(j))
-            for l in range(cls.kappa[i]):
-                vectors.append(polyops.shift_mod_xn1(ring, scaled, l, N))
-    return codes.handle_from_vectors("eisenstein", ring, N, spec, vectors)
+            if spec.a[i][j]:
+                gen = codes.times(ring, flat, ring.x_pow(j))
+                rows.extend(codes.shift_row(ring, gen, l) for l in range(cls.kappa[i]))
+    return codes.handle_from_rows("eisenstein", ring, N, spec, rows)
 
 
 # -- characters as exponent arithmetic ----------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import codes, modlinalg, polyops
+from . import codes, modlinalg
 from .codes import CodeHandle
 from .errors import NotCyclicError, NotDecomposableError, SpecShapeError
 from .idempotents import idempotent_system
@@ -64,6 +64,22 @@ def _basis_elements(sys, basis):
     return list(sys.theta)
 
 
+def _components(sys, basis):
+    """(i, j, flat generator, scalar) per component: eps_i with the basis
+    scalar b_j for the cosets that do not split, eps_{i,j} with 1 for the
+    split ones."""
+    ring, cls = sys.ring, sys.cls
+    scalars = _basis_elements(sys, basis)
+    for i in range(cls.v + 1):
+        if i <= cls.u:
+            flat = codes.flatten_vector(ring, sys.eps[i])
+            for j in range(ring.r):
+                yield i, j, flat, scalars[j]
+        else:
+            for j in range(ring.r):
+                yield i, j, codes.flatten_vector(ring, sys.eps_split[(i, j)]), ring.one
+
+
 def build_galois_code(spec) -> CodeHandle:
     """Generator stack {x^w x^e_{i,j} b_j eps_i X^l} spanning the spec's code.
 
@@ -72,27 +88,13 @@ def build_galois_code(spec) -> CodeHandle:
     """
     sys = _checked_system(spec)
     ring, N, cls = spec.ring, spec.N, sys.cls
-    scalars = _basis_elements(sys, spec.basis)
-    vectors = []
-
-    def add_component(poly, exponent, kappa):
-        if exponent >= ring.m:
-            return
-        for w in range(ring.k):
-            mult = ring.x_pow(exponent) * ring.x_pow(w)
-            if mult.is_zero():
-                continue
-            scaled = polyops.pscale(poly, mult)
-            for l in range(kappa):
-                vectors.append(polyops.shift_mod_xn1(ring, scaled, l, N))
-
-    for i in range(cls.u + 1):
-        for j in range(ring.r):
-            add_component(polyops.pscale(sys.eps[i], scalars[j]), spec.e[i][j], cls.kappa[i])
-    for i in range(cls.u + 1, cls.v + 1):
-        for j in range(ring.r):
-            add_component(sys.eps_split[(i, j)], spec.e[i][j], cls.kappa[i])
-    return codes.handle_from_vectors("galois", ring, N, spec, vectors)
+    rows = []
+    for i, j, flat, scalar in _components(sys, spec.basis):
+        e = spec.e[i][j]
+        for w in range(min(ring.k, ring.m - e)):
+            gen = codes.times(ring, flat, scalar * ring.x_pow(e + w))
+            rows.extend(codes.shift_row(ring, gen, l) for l in range(cls.kappa[i]))
+    return codes.handle_from_rows("galois", ring, N, spec, rows)
 
 
 def dual_galois_code(spec) -> GaloisCodeSpec:
@@ -128,16 +130,12 @@ def dual_galois_code(spec) -> GaloisCodeSpec:
 
 
 def log_cardinality(spec) -> int:
-    """Closed-form log_p |C| from the component sizes."""
+    """Closed-form log_p |C|: component (i, j) at exponent e adds
+    kappa_i (m - e), as |x^e S| = p^(m-e) and a split piece has
+    r kappa_{i,h} = kappa_i."""
     sys = _checked_system(spec)
-    cls, m, r = sys.cls, spec.ring.m, spec.ring.r
-    total = 0
-    for i in range(cls.u + 1):
-        total += sum(max(m - spec.e[i][j], 0) for j in range(r)) * cls.kappa[i]
-    for i in range(cls.u + 1, cls.v + 1):
-        for j in range(r):
-            total += max(m - spec.e[i][j], 0) * r * cls.kappa_split[(i, j)]
-    return total
+    m = spec.ring.m
+    return sum(kappa * sum(m - x for x in row) for kappa, row in zip(sys.cls.kappa, spec.e))
 
 
 def is_self_dual(spec) -> bool:
@@ -161,26 +159,17 @@ def decompose_to_spec(code: CodeHandle) -> GaloisCodeSpec:
         raise NotCyclicError("code is not closed under the cyclic shift")
     if not codes.is_x_closed(code):
         raise NotDecomposableError("code is not closed under multiplication by x")
-    scalars = _basis_elements(sys, "omega")
 
-    def min_exponent(poly):
+    def min_exponent(flat, scalar):
         for w in range(ring.m):
-            probe = polyops.pscale(poly, ring.x_pow(w))
-            flat = codes.flatten_vector(ring, polyops.pad(ring, probe, N))
-            if modlinalg.contains(code.stack, flat):
+            if modlinalg.contains(code.stack, codes.times(ring, flat, scalar * ring.x_pow(w))):
                 return w
         return ring.m
 
-    e = []
-    for i in range(cls.v + 1):
-        row = []
-        for j in range(ring.r):
-            if i <= cls.u:
-                row.append(min_exponent(polyops.pscale(sys.eps[i], scalars[j])))
-            else:
-                row.append(min_exponent(list(sys.eps_split[(i, j)])))
-        e.append(tuple(row))
-    spec = GaloisCodeSpec(ring=ring, N=N, e=tuple(e), basis="omega")
+    e = [[ring.m] * ring.r for _ in range(cls.v + 1)]
+    for i, j, flat, scalar in _components(sys, "omega"):
+        e[i][j] = min_exponent(flat, scalar)
+    spec = GaloisCodeSpec(ring=ring, N=N, e=e, basis="omega")
     rebuilt = build_galois_code(spec)
     if not modlinalg.stacks_equal(rebuilt.stack, code.stack):
         raise NotDecomposableError("code is not a sum of x^e component ideals")

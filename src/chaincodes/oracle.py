@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codes
 from .errors import RankNotOneError, TooLargeError
 
 _DEFAULT_CAP_LOG2 = 20
@@ -68,19 +69,6 @@ class _Space:
     def decode(self, keys):
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
         return (keys // self.weights) % self.caps
-
-    def vectors_from_keys(self, keys):
-        coords = self.decode(keys)
-        per = self.ring.r * self.ring.k
-        out = []
-        for row in coords:
-            vec = []
-            for pos in range(self.N):
-                chunk = row[pos * per : (pos + 1) * per]
-                grid = [chunk[i * self.ring.k : (i + 1) * self.ring.k] for i in range(self.ring.r)]
-                vec.append(self.ring.element(grid))
-            out.append(vec)
-        return out
 
     def key_of_vector(self, vec):
         flat = [c for e in vec for row in e.grid for c in row]
@@ -177,7 +165,7 @@ def brute_dual_trace(code, cap_log2=_DEFAULT_CAP_LOG2):
     ring, N = code.ring, code.N
     _check_cap(ring, N, cap_log2)
     space = _Space(ring, N)
-    gens = space.vectors_from_keys(space.encode(np.asarray(code.stack.rows)))
+    gens = [codes.unflatten_vector(ring, row, N) for row in code.stack.rows]
     return space, _survey_ambient(space, _pairing_tables_trace(space, gens), "trace")
 
 
@@ -186,14 +174,14 @@ def brute_dual_character(code, cap_log2=_DEFAULT_CAP_LOG2):
     ring, N = code.ring, code.N
     _check_cap(ring, N, cap_log2)
     space = _Space(ring, N)
-    gens = space.vectors_from_keys(space.encode(np.asarray(code.stack.rows)))
+    gens = [codes.unflatten_vector(ring, row, N) for row in code.stack.rows]
     return space, _survey_ambient(space, _pairing_tables_character(space, gens), "character")
 
 
 def _witness_vector(space, keys):
     if len(keys) == 0:
         return None
-    vec = space.vectors_from_keys(keys[:1])[0]
+    vec = codes.unflatten_vector(space.ring, space.decode(keys[:1])[0], space.N)
     return [e.to_json() for e in vec]
 
 
@@ -284,8 +272,7 @@ def _mu_identity_samples(space, keys_a, keys_b, rng, samples):
     for _ in range(samples):
         ka = keys_a[rng.integers(0, len(keys_a))]
         kb = keys_b[rng.integers(0, len(keys_b))]
-        a = space.vectors_from_keys(np.array([ka]))[0]
-        b = space.vectors_from_keys(np.array([kb]))[0]
+        a, b = (codes.unflatten_vector(ring, row, N) for row in space.decode([ka, kb]))
         # local cyclic convolution of a with the reversal of b
         prod = [ring.zero] * N
         for i in range(N):

@@ -205,13 +205,15 @@ def _lift_pair(h, f, g, p, n):
     for j in range(1, n):
         step = p ** (j + 1)
         diff = intpoly.psub(intpoly.pmod(h, step), intpoly.pmul(f, g, step), step)
-        assert all(c % p**j == 0 for c in diff)
+        if any(c % p**j for c in diff):
+            raise CertificateError(f"the lift is not exact mod p^{j}")
         e = intpoly.pmod([c // p**j for c in diff], p)
         q, fc = intpoly.pdivmod_monic(intpoly.pmul(b, e, p), fbar, p)
         gc = intpoly.padd(intpoly.pmul(a, e, p), intpoly.pmul(q, gbar, p), p)
         f = intpoly.padd(f, intpoly.pscale(fc, p**j, pn), pn)
         g = intpoly.padd(g, intpoly.pscale(gc, p**j, pn), pn)
-    assert intpoly.pmul(f, g, pn) == intpoly.pmod(h, pn)
+    if intpoly.pmul(f, g, pn) != intpoly.pmod(h, pn):
+        raise CertificateError(f"the lifted pair does not multiply to h mod {pn}")
     return f, g
 
 
@@ -247,7 +249,8 @@ def hensel_lift(h, factors_modp, p, n):
     check = [1]
     for fi in lifted:
         check = intpoly.pmul(check, fi, pn)
-    assert check == h
+    if check != h:
+        raise CertificateError(f"the lifted factors do not multiply to h mod {pn}")
     return lifted
 
 
@@ -401,10 +404,11 @@ def build_extension(ring, N):
     pows = [big.one]
     for _ in range(N - 1):
         pows.append(pows[-1] * eta)
-    assert pows[-1] * eta == big.one, "eta is not an N-th root of unity"
+    if pows[-1] * eta != big.one:
+        raise CertificateError("eta is not an N-th root of unity")
     for d in range(1, N):
-        if N % d == 0:
-            assert pows[d] != big.one, f"eta has order {d} < N"
+        if N % d == 0 and pows[d] == big.one:
+            raise CertificateError(f"eta has order {d} < N")
     ext._eta_pows = pows
     ext._omega_pows = [big.one]
     for _ in range(ring.r - 1):

@@ -24,14 +24,6 @@ def padd(ring, a, b):
     return [x + y for x, y in zip(a, b)]
 
 
-def pneg(a):
-    return [-x for x in a]
-
-
-def psub(ring, a, b):
-    return padd(ring, a, pneg(b))
-
-
 def pscale(a, c):
     return [x * c for x in a]
 

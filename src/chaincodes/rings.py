@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotAUnitError, ParameterError, RingMismatchError
+from .errors import CertificateError, NotAUnitError, ParameterError, RingMismatchError
 from .intpoly import fp_is_irreducible, fp_is_primitive, is_prime
 
 _CHAR_CAP = 2**31  # machine-word residues only; p^n beyond this is refused
@@ -215,8 +215,9 @@ class ChainRing:
 
         if t < k:
             # defining relation of the non-free case: p^(n-1) x^t = 0, p^(n-1) != 0
-            assert (self.from_int(self.pn1) * self._x_pows[t]).is_zero()
-            assert not self.from_int(self.pn1).is_zero()
+            pn1 = self.from_int(self.pn1)
+            if not (pn1 * self._x_pows[t]).is_zero() or pn1.is_zero():
+                raise CertificateError(f"p^(n-1) x^{t} = 0 with p^(n-1) != 0 fails")
 
     # -- construction helpers ------------------------------------------------
 
@@ -353,7 +354,8 @@ class ChainRing:
         residue = [row[0] % p for row in a.grid]
         fbar = [c % p for c in self.f]
         g, s, _ = fp_ext_gcd(residue, fbar, p)
-        assert g == [1]
+        if g != [1]:
+            raise CertificateError("the residue of a unit is not prime to f mod p")
         inv0 = pmod(s, p)
         grid = [[0] * self.k for _ in range(self.r)]
         for i, c in enumerate(inv0):
@@ -364,7 +366,8 @@ class ChainRing:
         two = self.from_int(2)
         for _ in range(steps):
             b = b * (two - a * b)
-        assert a * b == self.one
+        if a * b != self.one:
+            raise CertificateError("the Newton lift did not reach the inverse")
         return b
 
     def _x_valuation(self, a):
@@ -405,7 +408,8 @@ class ChainRing:
         for _ in range(self.p**self.r - 1):
             out.append(z)
             z = z * self.omega
-        assert z == self.one
+        if z != self.one:
+            raise CertificateError(f"w^{self.p**self.r - 1} is not 1")
         return out
 
     def teichmuller_lift(self, a):
@@ -422,7 +426,7 @@ class ChainRing:
         div_x picks one canonical preimage (unique only up to ann(x)), so the
         working remainder after m steps need not vanish; exactness comes from
         cur_i = d_i + x * cur_{i+1} telescoping with x^m = 0, and the round
-        trip is asserted.
+        trip is checked.
         """
         digits = []
         cur = a
@@ -430,7 +434,8 @@ class ChainRing:
             d = self.teichmuller_lift(cur)
             digits.append(d)
             cur = self.div_x(cur - d)
-        assert self.from_digits(digits) == a
+        if self.from_digits(digits) != a:
+            raise CertificateError("the x-adic digits do not sum back to the element")
         return digits
 
     def from_digits(self, digits):
@@ -465,7 +470,8 @@ class ChainRing:
         for _ in range(self.r - 1):
             cur = self.frobenius(cur)
             acc = acc + cur
-        assert all(c == 0 for row in acc.grid[1:] for c in row), "trace left S"
+        if not self.in_subring_s(acc):
+            raise CertificateError("trace left S")
         return acc
 
     def in_subring_s(self, a):

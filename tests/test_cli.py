@@ -208,6 +208,29 @@ def test_out_flag(files, capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def test_cold_commands_do_not_import_numpy(files):
+    """ring info, cosets and idempotents never load numpy, which keeps a cold
+    CLI start down to the interpreter and the ring code."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    ring = files["gal_ring"]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from chaincodes.cli import main
+
+        for argv in (["ring", "info"], ["cosets", "--N", "7"], ["idempotents", "--N", "7"]):
+            if main(argv + ["--ring", {ring!r}]) != 0:
+                sys.exit(f"{{argv}} failed")
+        sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+
+
 def test_wrong_dual_fails_under_python_O(files):
     """The counting identity is an explicit check: a wrong dual exits nonzero
     with `python -O` too."""

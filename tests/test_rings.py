@@ -6,9 +6,13 @@ coefficients, reduced by brute substitution against f, g, and the
 p^(n-1) x^t relation.
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaincodes import codes
 from chaincodes.errors import NotAUnitError, ParameterError, RingMismatchError
 from chaincodes.rings import ChainRing, RingParams, make_ring
 
@@ -358,3 +362,32 @@ def test_json_round_trip(ring_gal):
 def test_element_index_round_trip(ring_gal):
     for i in range(0, ring_gal.card, 7):
         assert ring_gal.index_of(ring_gal.element_from_index(i)) == i
+
+
+TIMES_RINGS = ["ring_gal", "ring_eis", "ring_m4", "ring_quasi", "ring_z4", "ring_f4", "ring_gr42", "ring_p3"]
+
+
+def _check_times(ring, rng, N=4):
+    draw = lambda: ring.element_from_index(rng.randrange(ring.card))
+    scalars = [ring.zero, ring.x, ring.omega, ring.from_int(ring.p), ring.x * draw()]
+    scalars += [draw() for _ in range(4)]
+    vecs = [[draw() for _ in range(N)] for _ in range(3)]
+    flats = np.vstack([codes.flatten_vector(ring, vec) for vec in vecs])
+    for c in scalars:
+        want = np.vstack([codes.flatten_vector(ring, [c * z for z in vec]) for vec in vecs])
+        assert np.array_equal(codes.times(ring, flats, c), want), c
+        assert np.array_equal(codes.times(ring, flats[0], c), want[0]), c
+
+
+@pytest.mark.parametrize("fixture", TIMES_RINGS)
+def test_times_is_the_elementwise_product(fixture, request):
+    """The flat action of a scalar (one (r*k) x (r*k) matrix per position,
+    columns reduced to their own order) equals the ring product exactly."""
+    ring = request.getfixturevalue(fixture)
+    _check_times(ring, random.Random(f"times-{fixture}"))
+
+
+def test_times_near_the_characteristic_cap():
+    """p^n = 2^31 sends matmul_mod through its exact-object fallback."""
+    ring = ChainRing(2, 31, 1, 2, 1, [1, 0])
+    _check_times(ring, random.Random("times-2^31"))
