@@ -97,21 +97,17 @@ def times(ring, flat, c):
 
 def shift_row(ring, row, l=1):
     """Cyclic shift by X^l: (a_1,...,a_N) -> (a_N, a_1, ...) for l = 1, on a
-    flattened row."""
+    flattened row (or on every row of a stack)."""
     per = ring.r * ring.k
-    return np.roll(np.asarray(row), l * per)
+    return np.roll(np.asarray(row), l * per, axis=-1)
 
 
 def is_shift_closed(handle):
-    return all(
-        modlinalg.contains(handle.stack, shift_row(handle.ring, row))
-        for row in handle.stack.rows
-    )
+    return modlinalg.contains(handle.stack, shift_row(handle.ring, handle.stack.rows))
 
 
 def is_x_closed(handle):
-    moved = times(handle.ring, handle.stack.rows, handle.ring.x)
-    return all(modlinalg.contains(handle.stack, row) for row in moved)
+    return modlinalg.contains(handle.stack, times(handle.ring, handle.stack.rows, handle.ring.x))
 
 
 def _scaled_rows(handle):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, ParameterError
+from .rings import _CHAR_CAP
 
 
 @dataclass
@@ -32,6 +33,8 @@ class GeneratorStack:
     cap_exps: tuple
 
     def __post_init__(self):
+        if self.p**self.n > _CHAR_CAP:  # q * row products need (p^n)^2 < 2^63
+            raise ParameterError(f"characteristic p^n = {self.p**self.n} above cap {_CHAR_CAP}")
         self.rows = np.asarray(self.rows, dtype=np.int64).reshape(-1, len(self.cap_exps))
         self.rows = self.rows % (self.p**self.n)
 
@@ -63,71 +66,64 @@ def matmul_mod(a, b, modulus):
     return (a.astype(object) @ b.astype(object) % modulus).astype(np.int64)
 
 
-def _val(x, p, n):
-    if x == 0:
-        return n
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _howell(rows, p, n, ncols):
     """Howell form over Z_{p^n}: returns (matrix, pivots as (col, val) pairs).
 
-    Pivot choice is leftmost column, then minimal p-valuation, then smallest
-    entry value, so the output is deterministic.  Shadow rows p^(n-v) * pivot
-    are fed back into the pool, which is what upgrades plain echelon form to
-    Howell form (span membership of every trailing-zero combination).
+    The pool is one int64 matrix, and each column costs a fixed number of
+    array operations.  Pivot choice is leftmost column, then least
+    p-valuation, then least entry, then first row in pool order, so the
+    output is deterministic.  Shadow rows p^(n-v) * pivot are appended to the
+    pool, which is what upgrades plain echelon form to Howell form (span
+    membership of every trailing-zero combination).  Entries stay below
+    p^n <= 2^31, so every product q * row fits in int64.
     """
     pn = p**n
-    pool = [np.asarray(r, dtype=np.int64) % pn for r in rows]
-    pool = [r for r in pool if r.any()]
-    pivots = []
+    m = len(rows)
+    pool = np.zeros((m + ncols, ncols), dtype=np.int64)  # a free row per shadow
+    pool[:m] = np.reshape(rows, (m, ncols)) % pn
+    live = np.flatnonzero(pool[:m].any(axis=1))  # pool order, as row indices
+    top = m
+    pivots, prows = [], []  # prows: pool slots, which keep each pivot row
     for col in range(ncols):
-        best_idx = -1
-        best_key = None
-        for idx, r in enumerate(pool):
-            x = int(r[col])
-            if x:
-                key = (_val(x, p, n), x)
-                if best_key is None or key < best_key:
-                    best_idx, best_key = idx, key
-        if best_idx < 0:
+        if not live.size:
+            break
+        column = pool[live, col]
+        hit = column.nonzero()[0]
+        if not hit.size:
             continue
-        piv = pool.pop(best_idx)
-        v = best_key[0]
-        unit = int(piv[col]) // p**v
-        piv = (piv * pow(unit, -1, pn)) % pn
-        nxt = []
-        for r in pool:
-            x = int(r[col])
-            if x:
-                r = (r - (x // p**v) * piv) % pn
-            if r.any():
-                nxt.append(r)
-        pool = nxt
-        if v > 0:
-            shadow = (piv * p ** (n - v)) % pn
+        x = column[hit]
+        val = np.zeros(hit.size, dtype=np.int64)
+        for k in range(1, n):
+            val += x % p**k == 0
+        best = int((val * pn + x).argmin())  # first minimum: earliest pool row
+        v = int(val[best])
+        rows_hit = live[hit]
+        prow = rows_hit[best]
+        piv = pool[prow, col:] * pow(int(x[best]) // p**v, -1, pn) % pn
+        # the pivot's own row is unit * piv, so it cancels with the others
+        block = (pool[rows_hit, col:] - (x // p**v)[:, None] * piv) % pn
+        pool[rows_hit, col:] = block
+        pool[prow, col:] = piv
+        keep = column == 0
+        keep[hit] = block.any(axis=1)
+        live = live[keep]
+        if v:
+            shadow = piv * p ** (n - v) % pn
             if shadow.any():
-                pool.append(shadow)
-        pivots.append([col, v, piv])
-    # canonical reduction above the pivots: rows from the bottom up, and for
-    # each row the later pivots left to right, so a subtraction only touches
-    # columns that a subsequent (already final) pivot row still cleans up
-    for j in range(len(pivots) - 2, -1, -1):
-        for l in range(j + 1, len(pivots)):
-            col_l, v_l, r_l = pivots[l]
-            x = int(pivots[j][2][col_l])
-            q = x // p**v_l
-            if q:
-                pivots[j][2] = (pivots[j][2] - q * r_l) % pn
-    if pivots:
-        mat = np.vstack([piv[2] for piv in pivots])
-    else:
-        mat = np.zeros((0, ncols), dtype=np.int64)
-    return mat, [(piv[0], piv[1]) for piv in pivots]
+                pool[top, col:] = shadow
+                live = np.append(live, top)
+                top += 1
+        pivots.append((col, v))
+        prows.append(prow)
+    mat = pool[prows]
+    # canonical reduction above the pivots: pivot l leaves every entry above
+    # it in [0, p^v_l), and later pivot rows are zero in column col_l, so one
+    # pass in pivot order gives the unique reduced form
+    for l, (col, v) in enumerate(pivots):
+        above = (mat[:l, col] >= p**v).nonzero()[0]
+        q = mat[above, col] // p**v
+        mat[above, col:] = (mat[above, col:] - q[:, None] * mat[l, col:]) % pn
+    return mat, pivots
 
 
 @dataclass
@@ -162,20 +158,20 @@ def subgroup_order_log_p(stack):
     return full - sum(n - e for e in stack.cap_exps)
 
 
-def contains(stack, vector):
-    """Membership of a coordinate vector in the spanned subgroup."""
-    if len(vector) != stack.ncols:
-        raise LengthMismatchError(f"vector length {len(vector)} != {stack.ncols}")
-    p, n = stack.p, stack.n
-    pn = p**n
+def contains(stack, vectors):
+    """Membership in the spanned subgroup of a coordinate vector, or of every
+    row of a 2-D array: one reduction pass over the pivots for all rows."""
+    v = np.asarray(vectors, dtype=np.int64)
+    if v.shape[-1] != stack.ncols:
+        raise LengthMismatchError(f"vector length {v.shape[-1]} != {stack.ncols}")
+    p, pn = stack.p, stack.p**stack.n
     form = howell_form(stack)
-    v = np.asarray(vector, dtype=np.int64) % pn
+    v = v.reshape(-1, stack.ncols) % pn
     for row, (col, val) in zip(form.rows, form.pivots):
-        x = int(v[col])
-        if x:
-            if x % p**val:
-                return False
-            v = (v - (x // p**val) * row) % pn
+        # a remainder x mod p^val stays in column col, which no later pivot touches
+        hit = v[:, col].nonzero()[0]
+        if hit.size:
+            v[hit, col:] = (v[hit, col:] - (v[hit, col] // p**val)[:, None] * row[col:]) % pn
     return not v.any()
 
 

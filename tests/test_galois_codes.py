@@ -198,6 +198,19 @@ def test_decompose_rejects_non_cyclic(ring_gal):
         gc.decompose_to_spec(handle)
 
 
+def test_closure_queries_answer_false(ring_gal):
+    one, zero = ring_gal.one, ring_gal.zero
+    single = codes.handle_from_vectors("galois", ring_gal, 3, None, [[one, zero, zero]])
+    assert not codes.is_shift_closed(single)
+    assert not codes.is_x_closed(single)
+    shifts = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    cyclic = codes.handle_from_vectors("galois", ring_gal, 3, None, shifts)
+    assert codes.is_shift_closed(cyclic)
+    assert not codes.is_x_closed(cyclic)
+    with pytest.raises(NotDecomposableError):
+        gc.decompose_to_spec(cyclic)
+
+
 def test_trace_inner_product_examples(ring_gal):
     ring = ring_gal
     e1 = [ring.one, ring.zero, ring.zero]

@@ -7,13 +7,77 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincodes import modlinalg as ml
-from chaincodes.errors import LengthMismatchError
+from chaincodes.errors import LengthMismatchError, ParameterError
 from chaincodes.modlinalg import GeneratorStack
 
 
 def stack(rows, caps, p=2, n=2):
     arr = np.array(rows, dtype=np.int64).reshape(-1, len(caps))
     return GeneratorStack(arr, p, n, tuple(caps))
+
+
+def _val(x, p, n):
+    if x == 0:
+        return n
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def reference_howell(rows, p, n, ncols):
+    """The row-at-a-time Howell loop that modlinalg._howell must match exactly.
+
+    Pivot choice is leftmost column, then minimal p-valuation, then smallest
+    entry value, then first pool row; shadow rows p^(n-v) * pivot go to the
+    end of the pool.  The back reduction runs rows from the bottom up, and
+    for each row the later (already final) pivots left to right.
+    """
+    pn = p**n
+    pool = [np.asarray(r, dtype=np.int64) % pn for r in rows]
+    pool = [r for r in pool if r.any()]
+    pivots = []
+    for col in range(ncols):
+        best_idx = -1
+        best_key = None
+        for idx, r in enumerate(pool):
+            x = int(r[col])
+            if x:
+                key = (_val(x, p, n), x)
+                if best_key is None or key < best_key:
+                    best_idx, best_key = idx, key
+        if best_idx < 0:
+            continue
+        piv = pool.pop(best_idx)
+        v = best_key[0]
+        unit = int(piv[col]) // p**v
+        piv = (piv * pow(unit, -1, pn)) % pn
+        nxt = []
+        for r in pool:
+            x = int(r[col])
+            if x:
+                r = (r - (x // p**v) * piv) % pn
+            if r.any():
+                nxt.append(r)
+        pool = nxt
+        if v > 0:
+            shadow = (piv * p ** (n - v)) % pn
+            if shadow.any():
+                pool.append(shadow)
+        pivots.append([col, v, piv])
+    for j in range(len(pivots) - 2, -1, -1):
+        for l in range(j + 1, len(pivots)):
+            col_l, v_l, r_l = pivots[l]
+            x = int(pivots[j][2][col_l])
+            q = x // p**v_l
+            if q:
+                pivots[j][2] = (pivots[j][2] - q * r_l) % pn
+    if pivots:
+        mat = np.vstack([piv[2] for piv in pivots])
+    else:
+        mat = np.zeros((0, ncols), dtype=np.int64)
+    return mat, [(piv[0], piv[1]) for piv in pivots]
 
 
 def brute_span(st_):
@@ -59,6 +123,11 @@ def test_contains_examples():
     assert not ml.contains(b, [1, 0])
     with pytest.raises(LengthMismatchError):
         ml.contains(b, [1, 0, 0])
+    assert ml.contains(b, [[2, 2], [1, 1], [0, 0]])
+    assert not ml.contains(b, [[2, 2], [1, 0]])
+    assert ml.contains(b, np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(LengthMismatchError):
+        ml.contains(b, [[1, 0, 0]])
 
 
 @pytest.mark.parametrize(
@@ -174,6 +243,71 @@ def test_howell_form_is_idempotent_and_read_as_is(raw, data):
     assert ml.contains(raw, vec) == ml.contains(form, vec)
     for row in raw.rows:
         assert ml.contains(form, row)
+    assert ml.contains(form, raw.rows)
+    assert ml.contains(form, np.vstack([raw.rows, vec])) == ml.contains(form, vec)
+
+
+def howell_inputs(stack_):
+    return list(stack_.rows) + stack_.relation_rows(), stack_.p, stack_.n, stack_.ncols
+
+
+def assert_matches_reference(rows, p, n, ncols):
+    mat, pivots = ml._howell(rows, p, n, ncols)
+    ref, ref_pivots = reference_howell(rows, p, n, ncols)
+    assert mat.dtype == ref.dtype and mat.shape == ref.shape
+    assert mat.tobytes() == ref.tobytes()
+    assert pivots == ref_pivots
+
+
+@given(raw=raw_stacks())
+@settings(max_examples=200, deadline=None)
+def test_howell_matches_reference_loop(raw):
+    assert_matches_reference(*howell_inputs(raw))
+
+
+def _seeded_rows(rng, p, n, nrows, ncols):
+    """Entries of every valuation, so pivots with v > 0 feed shadow rows."""
+    pn = p**n
+    units = rng.integers(0, pn, size=(nrows, ncols), dtype=np.int64)
+    return units * p ** rng.integers(0, n, size=(nrows, ncols)) % pn
+
+
+@pytest.mark.parametrize("p,n", [(2, 31), (3, 19), (2, 3), (3, 2), (5, 1)])
+@pytest.mark.parametrize("nrows,ncols", [(0, 4), (1, 1), (9, 1), (40, 3), (3, 40), (12, 12)])
+def test_howell_matches_reference_on_seeded_shapes(p, n, nrows, ncols):
+    rng = np.random.default_rng(1000 * p + 10 * nrows + ncols)
+    rows = _seeded_rows(rng, p, n, nrows, ncols)
+    assert_matches_reference(list(rows), p, n, ncols)
+    zeros = np.zeros((nrows, ncols), dtype=np.int64)
+    assert_matches_reference(list(zeros), p, n, ncols)
+    assert ml._howell(list(zeros), p, n, ncols)[0].shape == (0, ncols)
+    # dependent rows (combinations of a few) leave most of the pool to cancel
+    mixed = (rng.integers(0, p**n, size=(nrows, 2)) @ _seeded_rows(rng, p, n, 2, ncols)) % p**n
+    assert_matches_reference(list(mixed), p, n, ncols)
+
+
+@pytest.mark.parametrize("p,n", [(2, 31), (3, 19)])
+def test_products_near_2_62_stay_exact(p, n):
+    pn = p**n
+    s = stack([[1, pn - 1]], (n, n), p=p, n=n)
+    assert ml.contains(s, [pn - 2, 2])
+    assert ml.contains(s, [-2, 2])
+    assert not ml.contains(s, [pn - 2, 3])
+    full = stack([[pn - 2, pn - 5], [pn - 3, pn - 7]], (n, n), p=p, n=n)
+    det = ((pn - 2) * (pn - 7) - (pn - 5) * (pn - 3)) % pn  # 1, a unit
+    assert det % p
+    assert ml.normal_form(full).tolist() == [[1, 0], [0, 1]]
+    assert ml.subgroup_order_log_p(full) == 2 * n
+
+
+def test_characteristic_above_the_int64_cap_is_refused():
+    p, n = 3, 30  # (p^n)^2 overflows int64: this once gave garbage rows
+    pn = p**n
+    with pytest.raises(ParameterError, match="above cap 2147483648"):
+        stack([[pn - 2, pn - 5], [pn - 3, pn - 7]], (n, n), p=p, n=n)
+    with pytest.raises(ParameterError):
+        stack([[1, -1]], (n, n), p=p, n=n)
+    assert stack([[1]], (31,), p=2, n=31).rows.tolist() == [[1]]
 
 
 @pytest.fixture
