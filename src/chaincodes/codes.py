@@ -6,9 +6,9 @@ follow the ring columns (p^n below x-degree t, p^(n-1) from t on).  Codes are
 generator stacks over Z_{p^n} in those coordinates.
 
 A ring scalar c acts on each block of r*k coordinates as one fixed integer
-matrix (mul_matrix), and X^l acts as a roll by l blocks (shift_row), so the
-builders and closure tests work on integer rows without boxing coordinates
-into ring elements.
+matrix (mul_matrix), and X^l acts as a roll by l blocks (shift_row,
+cyclic_rows), so the builders and closure tests work on integer rows without
+boxing coordinates into ring elements; generators are x_ladder rungs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def handle_from_vectors(family, ring, N, spec, vectors):
 
 
 def handle_from_rows(family, ring, N, spec, rows):
-    """Handle spanned by flat integer rows (a list of length N*r*k arrays)."""
+    """Handle spanned by flat integer rows (a list of rows or of row blocks)."""
     mat = np.vstack(rows) if rows else np.zeros((0, N * ring.r * ring.k), dtype=np.int64)
     stack = GeneratorStack(mat, ring.p, ring.n, ambient_caps(ring, N))
     return handle_from_stack(family, ring, N, spec, stack)
@@ -95,11 +95,29 @@ def times(ring, flat, c):
     return (blocks % np.array(ring.col_mod * ring.r, dtype=np.int64)).reshape(flat.shape)
 
 
-def shift_row(ring, row, l=1):
-    """Cyclic shift by X^l: (a_1,...,a_N) -> (a_N, a_1, ...) for l = 1, on a
-    flattened row (or on every row of a stack)."""
-    per = ring.r * ring.k
-    return np.roll(np.asarray(row), l * per, axis=-1)
+def x_ladder(ring, gens, count):
+    """Flat rows x^w * g for w < count, as a (len(gens), count, L) array:
+    one times call per rung, each acting on every generator at once."""
+    rungs = [np.asarray(gens, dtype=np.int64)]
+    for _ in range(count - 1):
+        rungs.append(times(ring, rungs[-1], ring.x))
+    return np.stack(rungs, axis=1)
+
+
+def shift_row(ring, row):
+    """Cyclic shift by X: (a_1,...,a_N) -> (a_N, a_1, ...) on a flattened row
+    (or on every row of a stack)."""
+    return np.roll(np.asarray(row), ring.r * ring.k, axis=-1)
+
+
+def cyclic_rows(ring, rows, count):
+    """Row g * count + l is rows[g] shifted by X^l, for l < count: every shift
+    of every row, read through one index array."""
+    rows = np.asarray(rows, dtype=np.int64)
+    width = rows.shape[-1]
+    shifts = np.arange(count)[:, None] * (ring.r * ring.k)
+    idx = (np.arange(width)[None, :] - shifts) % width
+    return rows[:, idx].reshape(-1, width)
 
 
 def is_shift_closed(handle):
@@ -154,40 +172,31 @@ def _digit_block(idx, ranges):
     return digits
 
 
+def _words(handle, cap_log2):
+    """Every codeword in p-scaled coordinates, in chunks of at most 2^14 rows,
+    in the digit order of the scaled Howell basis."""
+    stack = handle.stack
+    mat, ranges, total = _scaled_basis(handle, cap_log2)
+    chunk = 1 << 14
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        yield modlinalg.matmul_mod(_digit_block(idx, ranges), mat, stack.p**stack.n)
+
+
 def enumerate_words(handle, cap_log2=20):
     """All codewords as canonical flattened rows; refuses beyond the cap.
     The full word matrix is materialized, hence the lower default cap than
     the streaming weight enumerator."""
-    stack = handle.stack
-    pn = stack.p**stack.n
-    mat, ranges, total = _scaled_basis(handle, cap_log2)
-    if not ranges:
-        return np.zeros((1, stack.ncols), dtype=np.int64)
-    out = np.zeros((total, stack.ncols), dtype=np.int64)
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        out[start : start + len(idx)] = modlinalg.matmul_mod(
-            _digit_block(idx, ranges), mat, pn
-        )
-    return _unscale(handle, out)
+    return _unscale(handle, np.vstack(list(_words(handle, cap_log2))))
 
 
 def weight_enumerator(handle, cap_log2=24):
     """Hamming weight distribution {weight: count} over all codewords."""
-    stack = handle.stack
     N = handle.N
-    pn = stack.p**stack.n
-    mat, ranges, total = _scaled_basis(handle, cap_log2)
-    if not ranges:
-        return {0: 1}
     per = handle.ring.r * handle.ring.k
     counts = np.zeros(N + 1, dtype=np.int64)
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        words = modlinalg.matmul_mod(_digit_block(idx, ranges), mat, pn)
-        nz = words.reshape(len(idx), N, per).any(axis=2)
+    for words in _words(handle, cap_log2):
+        nz = words.reshape(len(words), N, per).any(axis=2)
         counts += np.bincount(nz.sum(axis=1), minlength=N + 1)
     return {w: int(c) for w, c in enumerate(counts) if c}
 

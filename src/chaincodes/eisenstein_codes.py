@@ -67,17 +67,16 @@ def _checked_system(spec):
 
 
 def build_eisenstein_code(spec) -> CodeHandle:
-    """Span of {x^j eps_i X^l : a_{i,j} = 1} over Z_{p^n}."""
+    """Span of {x^j eps_i X^l : a_{i,j} = 1} over Z_{p^n}, rungs of one ladder."""
     sys = _checked_system(spec)
-    ring, N, cls = spec.ring, spec.N, sys.cls
-    rows = []
-    for i in range(cls.v + 1):
-        flat = codes.flatten_vector(ring, sys.eps[i])
-        for j in range(ring.m):
-            if spec.a[i][j]:
-                gen = codes.times(ring, flat, ring.x_pow(j))
-                rows.extend(codes.shift_row(ring, gen, l) for l in range(cls.kappa[i]))
-    return codes.handle_from_rows("eisenstein", ring, N, spec, rows)
+    ring = spec.ring
+    eps = np.vstack([codes.flatten_vector(ring, eps_i) for eps_i in sys.eps])
+    ladder = codes.x_ladder(ring, eps, ring.m)
+    blocks = [
+        codes.cyclic_rows(ring, ladder[i][np.array(spec.a[i], dtype=bool)], kappa)
+        for i, kappa in enumerate(sys.cls.kappa)
+    ]
+    return codes.handle_from_rows("eisenstein", ring, spec.N, spec, blocks)
 
 
 # -- characters as exponent arithmetic ----------------------------------------

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import codes, modlinalg
 from .codes import CodeHandle
 from .errors import NotCyclicError, NotDecomposableError, SpecShapeError
@@ -54,47 +56,34 @@ def _checked_system(spec):
     return sys
 
 
-def _basis_elements(sys, basis):
-    ring = sys.ring
-    if basis == "omega":
-        pows = [ring.one]
-        for _ in range(ring.r - 1):
-            pows.append(pows[-1] * ring.omega)
-        return pows
-    return list(sys.theta)
-
-
-def _components(sys, basis):
-    """(i, j, flat generator, scalar) per component: eps_i with the basis
-    scalar b_j for the cosets that do not split, eps_{i,j} with 1 for the
-    split ones."""
+def _ladder(sys, basis):
+    """The (v+1) x r x m x L array of every component's x-power rungs: row
+    [i, j, w] is x^w b_j eps_i with b_j the basis scalar on the cosets that
+    do not split, and x^w eps_{i,j} on the split ones."""
     ring, cls = sys.ring, sys.cls
-    scalars = _basis_elements(sys, basis)
-    for i in range(cls.v + 1):
-        if i <= cls.u:
-            flat = codes.flatten_vector(ring, sys.eps[i])
-            for j in range(ring.r):
-                yield i, j, flat, scalars[j]
-        else:
-            for j in range(ring.r):
-                yield i, j, codes.flatten_vector(ring, sys.eps_split[(i, j)]), ring.one
+    eps = np.vstack([codes.flatten_vector(ring, eps_i) for eps_i in sys.eps[: cls.u + 1]])
+    scalars = sys.theta if basis == "theta" else [ring.omega**j for j in range(ring.r)]
+    scaled = np.stack([codes.times(ring, eps, b) for b in scalars], axis=1)
+    split = [codes.flatten_vector(ring, sys.eps_split[key]) for key in sorted(sys.eps_split)]
+    base = np.vstack([scaled.reshape(-1, eps.shape[1])] + split)
+    return codes.x_ladder(ring, base, ring.m).reshape(cls.v + 1, ring.r, ring.m, -1)
 
 
 def build_galois_code(spec) -> CodeHandle:
     """Generator stack {x^w x^e_{i,j} b_j eps_i X^l} spanning the spec's code.
 
     The x^w multiples (w < k) turn the S-span into a Z_{p^n} row span, which
-    is what the linear algebra works over.
+    is what the linear algebra works over; they are ladder rungs [e, e + k).
     """
     sys = _checked_system(spec)
-    ring, N, cls = spec.ring, spec.N, sys.cls
-    rows = []
-    for i, j, flat, scalar in _components(sys, spec.basis):
-        e = spec.e[i][j]
-        for w in range(min(ring.k, ring.m - e)):
-            gen = codes.times(ring, flat, scalar * ring.x_pow(e + w))
-            rows.extend(codes.shift_row(ring, gen, l) for l in range(cls.kappa[i]))
-    return codes.handle_from_rows("galois", ring, N, spec, rows)
+    ring = spec.ring
+    ladder = _ladder(sys, spec.basis)
+    w = np.arange(ring.m)
+    blocks = []
+    for i, kappa in enumerate(sys.cls.kappa):
+        e = np.array(spec.e[i])[:, None]
+        blocks.append(codes.cyclic_rows(ring, ladder[i][(e <= w) & (w < e + ring.k)], kappa))
+    return codes.handle_from_rows("galois", ring, spec.N, spec, blocks)
 
 
 def dual_galois_code(spec) -> GaloisCodeSpec:
@@ -139,7 +128,9 @@ def log_cardinality(spec) -> int:
 
 
 def is_self_dual(spec) -> bool:
-    """Self-duality happens exactly at the all-m/2 exponent matrix, m even."""
+    """The closed-form spec predicate (m even, every exponent m/2), not a test
+    on codes: demo N = 3 at e = ((1, 2), (0, 3)) builds a code equal to its
+    trace dual.  A self-duality test on codes is ROADMAP item 18."""
     _checked_system(spec)
     m = spec.ring.m
     return m % 2 == 0 and all(x == m // 2 for row in spec.e for x in row)
@@ -148,27 +139,21 @@ def is_self_dual(spec) -> bool:
 def decompose_to_spec(code: CodeHandle) -> GaloisCodeSpec:
     """Recover the omega-basis exponent matrix of an S-linear cyclic code.
 
-    Verifies cyclicity and S-closure first, measures each component's minimal
-    x-valuation by stack membership, then rebuilds and demands equality; a
-    mismatch means the input is not of the canonical shape and is surfaced.
+    Verifies cyclicity and S-closure first; e_{i,j} is the first ladder rung
+    in the code (m if none), read off one membership pass.  It then rebuilds
+    and demands equality: a mismatch means a non-canonical input.
     """
     ring, N = code.ring, code.N
     sys = idempotent_system(ring, N)
-    cls = sys.cls
     if not codes.is_shift_closed(code):
         raise NotCyclicError("code is not closed under the cyclic shift")
     if not codes.is_x_closed(code):
         raise NotDecomposableError("code is not closed under multiplication by x")
 
-    def min_exponent(flat, scalar):
-        for w in range(ring.m):
-            if modlinalg.contains(code.stack, codes.times(ring, flat, scalar * ring.x_pow(w))):
-                return w
-        return ring.m
-
-    e = [[ring.m] * ring.r for _ in range(cls.v + 1)]
-    for i, j, flat, scalar in _components(sys, "omega"):
-        e[i][j] = min_exponent(flat, scalar)
+    ladder = _ladder(sys, "omega")
+    hits = modlinalg.members(code.stack, ladder.reshape(-1, ladder.shape[-1]))
+    hits = hits.reshape(ladder.shape[:3])
+    e = np.where(hits.any(axis=2), hits.argmax(axis=2), ring.m).tolist()
     spec = GaloisCodeSpec(ring=ring, N=N, e=e, basis="omega")
     rebuilt = build_galois_code(spec)
     if not modlinalg.stacks_equal(rebuilt.stack, code.stack):

@@ -158,9 +158,9 @@ def subgroup_order_log_p(stack):
     return full - sum(n - e for e in stack.cap_exps)
 
 
-def contains(stack, vectors):
-    """Membership in the spanned subgroup of a coordinate vector, or of every
-    row of a 2-D array: one reduction pass over the pivots for all rows."""
+def members(stack, vectors):
+    """Membership in the spanned subgroup, per row of a 2-D array (or of one
+    vector): one reduction pass over the pivots answers every row."""
     v = np.asarray(vectors, dtype=np.int64)
     if v.shape[-1] != stack.ncols:
         raise LengthMismatchError(f"vector length {v.shape[-1]} != {stack.ncols}")
@@ -172,7 +172,12 @@ def contains(stack, vectors):
         hit = v[:, col].nonzero()[0]
         if hit.size:
             v[hit, col:] = (v[hit, col:] - (v[hit, col] // p**val)[:, None] * row[col:]) % pn
-    return not v.any()
+    return ~v.any(axis=1)
+
+
+def contains(stack, vectors):
+    """Membership of a vector, or of every row of a 2-D array."""
+    return bool(members(stack, vectors).all())
 
 
 def kernel_rows(mat, p, n):

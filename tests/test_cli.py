@@ -1,5 +1,6 @@
 """The command-line interface: reports, exit codes, determinism, round-trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -253,3 +254,60 @@ def test_wrong_dual_fails_under_python_O(files):
     assert out.returncode != 0
     assert out.stderr.startswith("error:"), out.stderr
     assert out.stdout == ""
+
+
+PIN_RINGS = {
+    "demo": GAL_RING,
+    "eis": EIS_RING,
+    "p3": {"p": 3, "n": 2, "r": 1, "k": 2, "t": 1, "g_tail": [1, 0]},
+}
+
+# sha256 of the stdout of `code build`, `code dual` and `code weights`: these
+# pin the generator and dual-generator bytes, which no other test compares.
+CODE_PINS = [
+    ("demo", 3, {"e": [[0, 2], [1, 3]], "basis": "omega"}, {
+        "build": "9590492d9cd68694e1e6ab671af8bb905870419039b688a6a7ce0a5269693b02",
+        "dual": "a3318ab04ecacc1e15b013ee3f019862b4f2b8e309fdfff619b104fb1b4cdb64",
+        "weights": "53ac69ba892cf17d3aa019c5baefda1694b02414c0298c28a0a0fbee1aff73db",
+    }),
+    ("demo", 3, {"e": [[1, 0], [2, 1]], "basis": "theta"}, {
+        "build": "9aec1e39e6f6f3a3b16af65f39078d570180d7b30812aa1f0a3a891c9675bd5b",
+        "dual": "5e0e5fdd695c0882fd394c5b32d47d5ff0150f5f8ad83051c37fa22bbc2915e1",
+        "weights": "2ebda97e9405b8bc64aba4930a061a21881a0ad503c450b7007aa7407d990446",
+    }),
+    ("demo", 7, {"e": [[1, 2], [2, 3], [3, 1]], "basis": "omega"}, {
+        "build": "017e7b490832d11b15966e5850a31621660ef0b4426d1e4fb35f431dc7500526",
+        "dual": "cd4e96fbee12540bd055bb9715e5c6b40615036756d5e8c36efc15dc7d116523",
+        "weights": "fa6a153d580cff87ff9fa7354ebe65e297d946dcc93ec6d6339048813df76208",
+    }),
+    ("demo", 7, {"e": [[2, 1], [3, 2], [1, 3]], "basis": "theta"}, {
+        "build": "ca658d84344b1cafdb133f9638e745db8c97a9a20aff86a75657e189fbc3a8fb",
+        "dual": "a769f643014ae96219cc7af30449f256aed863e7d7f024486cee90e6a94f5cc1",
+        "weights": "f12cb37f4d99402b91f4943a4b418bf0e2de8e41578efb2f511a7e03b01b0bcc",
+    }),
+    ("eis", 7, {"a": [[1, 0, 1], [0, 1, 0], [1, 1, 1]]}, {
+        "build": "2b799a7bccdf8aabfb1c5e9326a9cfbc98814a7ea303d46447a4f71c665d44d6",
+        "dual": "28534776f843f8d4ce2610014006c710086a74a53751946a6363f0af11895695",
+        "weights": "6edf80cd52f3b31ed19aa518dcdbee591f9f8b088f1c8b5609d4757a3a7228d6",
+    }),
+    ("p3", 8, {"e": [[1], [2], [2], [3], [1]], "basis": "omega"}, {
+        "build": "34a565ec2df0a71cc8a9071b394dbe1a90017fb20d0754c348720488b86cbd24",
+        "dual": "4e3b9942e531a4c0781225938330425ca3727d4ec7f2b45c06ca5ae60bf2851a",
+        "weights": "ae6b8e02821371c1319e75e11417400843b06dbd08447a3ac7802d1590353143",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "ring,N,body,digests",
+    CODE_PINS,
+    ids=[f"{r}-N{N}-{b.get('basis', 'eisenstein')}" for r, N, b, _ in CODE_PINS],
+)
+def test_code_command_stdout_pins(ring, N, body, digests, tmp_path, capsys):
+    family = "eisenstein" if "a" in body else "galois"
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"family": family, "ring": PIN_RINGS[ring], "N": N, **body}))
+    for command, digest in digests.items():
+        assert main(["code", command, "--code", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

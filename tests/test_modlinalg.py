@@ -247,6 +247,21 @@ def test_howell_form_is_idempotent_and_read_as_is(raw, data):
     assert ml.contains(form, np.vstack([raw.rows, vec])) == ml.contains(form, vec)
 
 
+@given(raw=raw_stacks(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_members_answers_contains_per_row(raw, data):
+    entry = st.integers(0, raw.p**raw.n - 1)
+    vec = st.lists(entry, min_size=raw.ncols, max_size=raw.ncols)
+    V = np.array(data.draw(st.lists(vec, min_size=1, max_size=6)), dtype=np.int64)
+    got = ml.members(raw, V)
+    assert got.dtype == bool and got.shape == (len(V),)
+    assert got.tolist() == [ml.contains(raw, v) for v in V]
+    assert ml.members(raw, np.vstack([raw.rows, V]))[: len(raw.rows)].all()
+    assert ml.members(raw, np.zeros((0, raw.ncols), dtype=np.int64)).shape == (0,)
+    with pytest.raises(LengthMismatchError):
+        ml.members(raw, np.zeros((len(V), raw.ncols + 1), dtype=np.int64))
+
+
 def howell_inputs(stack_):
     return list(stack_.rows) + stack_.relation_rows(), stack_.p, stack_.n, stack_.ncols
 
