@@ -84,7 +84,7 @@ _SOURCES = {
         "hensel_lift",
         "minimal_polynomial",
     ),
-    "rings": ("ChainRing", "ChainRingElement", "RingParams", "make_ring"),
+    "rings": ("ChainRing", "ChainRingElement"),
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 __all__ = [name for names in _SOURCES.values() for name in names]

@@ -76,11 +76,14 @@ def build_galois_code(spec) -> CodeHandle:
     is what the linear algebra works over; they are ladder rungs [e, e + k).
     """
     sys = _checked_system(spec)
+    return _code_from_ladder(spec, sys.cls.kappa, _ladder(sys, spec.basis))
+
+
+def _code_from_ladder(spec, kappas, ladder):
     ring = spec.ring
-    ladder = _ladder(sys, spec.basis)
     w = np.arange(ring.m)
     blocks = []
-    for i, kappa in enumerate(sys.cls.kappa):
+    for i, kappa in enumerate(kappas):
         e = np.array(spec.e[i])[:, None]
         blocks.append(codes.cyclic_rows(ring, ladder[i][(e <= w) & (w < e + ring.k)], kappa))
     return codes.handle_from_rows("galois", ring, spec.N, spec, blocks)
@@ -155,7 +158,7 @@ def decompose_to_spec(code: CodeHandle) -> GaloisCodeSpec:
     hits = hits.reshape(ladder.shape[:3])
     e = np.where(hits.any(axis=2), hits.argmax(axis=2), ring.m).tolist()
     spec = GaloisCodeSpec(ring=ring, N=N, e=e, basis="omega")
-    rebuilt = build_galois_code(spec)
+    rebuilt = _code_from_ladder(spec, sys.cls.kappa, ladder)
     if not modlinalg.stacks_equal(rebuilt.stack, code.stack):
         raise NotDecomposableError("code is not a sum of x^e component ideals")
     return spec

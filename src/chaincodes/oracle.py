@@ -48,16 +48,18 @@ class _Space:
     def __init__(self, ring, N):
         if ring.card > _ELEMENT_CAP:
             raise TooLargeError(f"ring with {ring.card} elements is beyond the oracle cap")
+        if ring.card**N > 2**62:
+            raise TooLargeError(
+                f"|R|^N = 2^{N * np.log2(ring.card):.1f} is beyond the oracle's 2^62 key range"
+            )
         self.ring = ring
         self.N = N
-        per_pos = [ring.pn if j < ring.t else ring.pn1 for j in range(ring.k)] * ring.r
-        self.caps = np.array(per_pos * N, dtype=np.int64)
+        self.caps = np.array(list(ring.col_mod) * ring.r * N, dtype=np.int64)
         self.L = len(self.caps)
         # first coordinate most significant: ascending keys = lexicographic order
-        weights = np.ones(self.L, dtype=np.int64)
-        for j in range(self.L - 2, -1, -1):
-            weights[j] = weights[j + 1] * self.caps[j + 1]
-        self.weights = weights
+        self.weights = np.append(np.cumprod(self.caps[:0:-1])[::-1], 1)
+        # element index of one position's block: the ring's mixed radix
+        self.radix = np.cumprod(np.concatenate(([1], self.caps[: ring.r * ring.k - 1])))
         self.elems = ring.elements()
         self.elem_coords = np.array(
             [[c for row in e.grid for c in row] for e in self.elems], dtype=np.int64
@@ -69,6 +71,14 @@ class _Space:
     def decode(self, keys):
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
         return (keys // self.weights) % self.caps
+
+    def positions(self, coords):
+        """Element index at every position of each flat coordinate row."""
+        return np.asarray(coords).reshape(len(coords), self.N, -1) @ self.radix
+
+    def keys_of(self, positions):
+        """Keys of the vectors with these element indices at their positions."""
+        return self.encode(self.elem_coords[positions].reshape(len(positions), -1))
 
     def key_of_vector(self, vec):
         flat = [c for e in vec for row in e.grid for c in row]
@@ -90,45 +100,33 @@ def _check_cap(ring, N, cap_log2):
     return size
 
 
-def _pairing_tables_trace(space, gens):
-    """Per generator and position: S-coordinates of Tr(elem * g_pos)."""
-    ring = space.ring
-    tables = []
-    for g in gens:
-        per_pos = []
-        for c in g:
-            tv = np.zeros((ring.card, ring.k), dtype=np.int64)
-            for idx, e in enumerate(space.elems):
-                tr = ring.trace_to_base(e * c)
-                tv[idx] = tr.grid[0]
-            per_pos.append(tv)
-        tables.append(per_pos)
-    return tables
+def _trace_pairing(ring):
+    """S-coordinates of Tr(e c), each modulo its column order."""
+    return (lambda e, c: ring.trace_to_base(e * c).grid[0]), ring.col_mod
 
 
-def _pairing_tables_character(space, gens):
-    ring = space.ring
+def _character_pairing(ring):
+    """beta(e, c) = sum_j w_j e_j c_j modulo p^n, with w_j = p from x^t on."""
     if ring.r != 1:
         raise RankNotOneError("character duality needs a rank-1 ring")
     wt = [1 if j < ring.t else ring.p for j in range(ring.k)]
-    tables = []
-    for g in gens:
-        per_pos = []
-        for c in g:
-            bv = np.zeros(ring.card, dtype=np.int64)
-            for idx, e in enumerate(space.elems):
-                bv[idx] = sum(w * a * z for w, a, z in zip(wt, e.grid[0], c.grid[0])) % ring.pn
-            per_pos.append(bv)
-        tables.append(per_pos)
-    return tables
+
+    def beta(e, c):
+        return (sum(w * a * z for w, a, z in zip(wt, e.grid[0], c.grid[0])) % ring.pn,)
+
+    return beta, (ring.pn,)
 
 
-def _survey_ambient(space, tables, kind):
-    """Keys of all vectors in R^N orthogonal to every tabled generator."""
-    ring, N = space.ring, space.N
-    card = ring.card
+def _pairing_tables(space, gens, pair):
+    """Per generator and position: row j holds entry j of pair(elem, g_pos)."""
+    return [[np.array([pair(e, c) for e in space.elems]).T.copy() for c in g] for g in gens]
+
+
+def _survey_ambient(space, tables, mods):
+    """Keys of all vectors in R^N whose pairing with every tabled generator,
+    summed over the positions, is zero modulo mods."""
+    card, N = space.ring.card, space.N
     total = card**N
-    s_caps = np.array([ring.pn if j < ring.t else ring.pn1 for j in range(ring.k)], dtype=np.int64)
     out = []
     chunk = 1 << 16
     for start in range(0, total, chunk):
@@ -136,46 +134,35 @@ def _survey_ambient(space, tables, kind):
         pos_idx = [(idx // card**pos) % card for pos in range(N)]
         mask = np.ones(len(idx), dtype=bool)
         for per_pos in tables:
-            if kind == "trace":
-                acc = np.zeros((len(idx), ring.k), dtype=np.int64)
-                for pos in range(N):
-                    acc += per_pos[pos][pos_idx[pos]]
-                ok = ((acc % s_caps) == 0).all(axis=1)
-            else:
-                acc = np.zeros(len(idx), dtype=np.int64)
-                for pos in range(N):
-                    acc += per_pos[pos][pos_idx[pos]]
-                ok = (acc % ring.pn) == 0
-            mask &= ok
+            for j, mod in enumerate(mods):
+                acc = per_pos[0][j][pos_idx[0]]
+                for pos in range(1, N):
+                    acc += per_pos[pos][j][pos_idx[pos]]
+                mask &= acc % mod == 0
             if not mask.any():
                 break
         if mask.any():
-            kept = idx[mask]
-            coords = np.hstack(
-                [space.elem_coords[(kept // card**pos) % card] for pos in range(N)]
-            )
-            out.append(space.encode(coords))
-    if out:
-        return np.unique(np.concatenate(out))
-    return np.zeros(0, dtype=np.int64)
+            out.append(space.keys_of(np.stack([at[mask] for at in pos_idx], axis=1)))
+    return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=np.int64)
+
+
+def _brute_dual(code, cap_log2, pairing):
+    ring, N = code.ring, code.N
+    _check_cap(ring, N, cap_log2)
+    space = _Space(ring, N)
+    pair, mods = pairing(ring)
+    gens = [codes.unflatten_vector(ring, row, N) for row in code.stack.rows]
+    return space, _survey_ambient(space, _pairing_tables(space, gens, pair), mods)
 
 
 def brute_dual_trace(code, cap_log2=_DEFAULT_CAP_LOG2):
     """{a in R^N : (a, b)_Tr = 0 for all b in C} by full enumeration."""
-    ring, N = code.ring, code.N
-    _check_cap(ring, N, cap_log2)
-    space = _Space(ring, N)
-    gens = [codes.unflatten_vector(ring, row, N) for row in code.stack.rows]
-    return space, _survey_ambient(space, _pairing_tables_trace(space, gens), "trace")
+    return _brute_dual(code, cap_log2, _trace_pairing)
 
 
 def brute_dual_character(code, cap_log2=_DEFAULT_CAP_LOG2):
     """{a : sum_i beta(a_i, b_i) = 0 for all b in C} by full enumeration."""
-    ring, N = code.ring, code.N
-    _check_cap(ring, N, cap_log2)
-    space = _Space(ring, N)
-    gens = [codes.unflatten_vector(ring, row, N) for row in code.stack.rows]
-    return space, _survey_ambient(space, _pairing_tables_character(space, gens), "character")
+    return _brute_dual(code, cap_log2, _character_pairing)
 
 
 def _witness_vector(space, keys):
@@ -192,22 +179,20 @@ def verify_additive_cyclic(space, keys, base="chain"):
     Galois family are Z_{p^n}-combinations of x powers); base "zpn" checks
     additive closure only, which is Z_{p^n}-linearity.
     """
-    ring, N = space.ring, space.N
+    ring, per = space.ring, space.ring.r * space.ring.k
     keys = np.unique(np.asarray(keys, dtype=np.int64))
     size = float(np.log2(max(len(keys), 1)))
     if 0 not in keys:
         return OracleReport("additive+cyclic closure", size, "fail", witness=[0], details=("missing zero",))
 
+    # regrow the keys from their least member not yet generated
     regenerated = np.zeros(1, dtype=np.int64)
-    for key in keys:
-        at = np.searchsorted(regenerated, key)
-        if at < len(regenerated) and regenerated[at] == key:
-            continue
-        row = space.decode(np.array([key]))[0]
-        regenerated = _closure_keys_from(space, regenerated, row)
-        if len(regenerated) > len(keys):
+    while len(regenerated) <= len(keys):
+        missing = np.setdiff1d(keys, regenerated, assume_unique=True)
+        if not len(missing):
             break
-    if len(regenerated) != len(keys) or not np.array_equal(regenerated, keys):
+        regenerated = _closure_keys_from(space, regenerated, space.decode(missing[:1])[0])
+    if not np.array_equal(regenerated, keys):
         extra = np.setdiff1d(regenerated, keys)
         witness = _witness_vector(space, extra if len(extra) else keys)
         return OracleReport(
@@ -215,37 +200,17 @@ def verify_additive_cyclic(space, keys, base="chain"):
             details=("not closed under addition",),
         )
 
-    per = ring.r * ring.k
     coords = space.decode(keys)
-    shifted = space.encode(np.roll(coords, per, axis=1))
-    if not np.array_equal(np.unique(shifted), keys):
-        bad = np.setdiff1d(np.unique(shifted), keys)
-        return OracleReport(
-            "additive+cyclic closure", size, "fail",
-            witness=_witness_vector(space, bad), details=("not shift closed",),
-        )
-
+    images = [("not shift closed", space.encode(np.roll(coords, per, axis=1)))]
     if base == "chain" and not ring.x.is_zero():
-        xmul = np.zeros(ring.card, dtype=np.int64)
-        for idx, e in enumerate(space.elems):
-            xmul[idx] = space.ring.index_of(ring.x * e)
-        keyed = coords.reshape(len(keys), N, per)
-        # element index within a position uses the canonical mixed radix
-        mods = space.caps[:per]
-        elem_weights = np.ones(per, dtype=np.int64)
-        acc = 1
-        for j in range(per):
-            elem_weights[j] = acc
-            acc *= int(mods[j])
-        pos_indices = keyed @ elem_weights
-        moved = xmul[pos_indices]
-        moved_coords = space.elem_coords[moved.reshape(-1)].reshape(len(keys), N * per)
-        moved_keys = np.unique(space.encode(moved_coords))
-        if len(np.setdiff1d(moved_keys, keys)):
-            bad = np.setdiff1d(moved_keys, keys)
+        x_index = np.array([ring.index_of(ring.x * e) for e in space.elems])
+        images.append(("not closed under x", space.keys_of(x_index[space.positions(coords)])))
+    for detail, image in images:
+        bad = np.setdiff1d(image, keys)
+        if len(bad):
             return OracleReport(
                 "additive+cyclic closure", size, "fail",
-                witness=_witness_vector(space, bad), details=("not closed under x",),
+                witness=_witness_vector(space, bad), details=(detail,),
             )
     return OracleReport("additive+cyclic closure", size, "pass")
 

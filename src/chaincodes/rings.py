@@ -15,25 +15,10 @@ fixing S and trace_to_base() sums its powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CertificateError, NotAUnitError, ParameterError, RingMismatchError
 from .intpoly import fp_is_irreducible, fp_is_primitive, is_prime
 
 _CHAR_CAP = 2**31  # machine-word residues only; p^n beyond this is refused
-
-
-@dataclass(frozen=True)
-class RingParams:
-    """Defining tuple (p, n, r, k, t, g, f) of a chain ring."""
-
-    p: int
-    n: int
-    r: int
-    k: int
-    t: int
-    g_tail: tuple
-    f: tuple | None = None
 
 
 class ChainRingElement:
@@ -221,10 +206,6 @@ class ChainRing:
 
     # -- construction helpers ------------------------------------------------
 
-    @classmethod
-    def from_params(cls, params):
-        return cls(params.p, params.n, params.r, params.k, params.t, params.g_tail, params.f)
-
     def _rank1_omega(self):
         # for r = 1, f = X - tau with tau the lift of a primitive root mod p
         return self.from_int((-self.f[0]) % self.pn)
@@ -247,10 +228,6 @@ class ChainRing:
 
     def __hash__(self):
         return hash(self.key)
-
-    @property
-    def params(self):
-        return RingParams(self.p, self.n, self.r, self.k, self.t, self.g_tail, self.f)
 
     # -- element constructors ------------------------------------------------
 
@@ -516,12 +493,3 @@ class ChainRing:
             )
         except KeyError as exc:
             raise ParameterError(f"ring spec missing field {exc}") from exc
-
-
-def make_ring(params):
-    """Construct the ring descriptor for a parameter tuple."""
-    if isinstance(params, RingParams):
-        return ChainRing.from_params(params)
-    if isinstance(params, dict):
-        return ChainRing.from_json(params)
-    raise ParameterError(f"cannot build a ring from {params!r}")

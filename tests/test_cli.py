@@ -151,9 +151,32 @@ def test_verify_both_families(files, capsys):
     capsys.readouterr()
 
 
+VERIFY_PINS = {
+    "gal_code": "934dca6f789b902880eaaecfc3a502dd709230e3600d8c4a6fd4151ef6cd0bce",
+    "eis_code": "d52fbb9cebdacc24dde61821961907ebd006ad6453a963db8241a97cb33757a3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_PINS))
+def test_verify_stdout_pins(name, files, capsys):
+    """sha256 of the `verify` report: pins the oracle's details byte for byte."""
+    assert main(["verify", "--code", files[name]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[name]
+
+
 def test_verify_over_cap_exits_2(files, capsys):
     assert main(["verify", "--code", files["gal_code"], "--cap", "5"]) == 2
     capsys.readouterr()
+
+
+def test_verify_beyond_key_range_exits_2(tmp_path, capsys):
+    """demo N = 11 is 2^66 vectors: refused even under --cap 70."""
+    path = tmp_path / "n11.json"
+    path.write_text(json.dumps({**GAL_CODE, "N": 11, "e": [[0, 0], [0, 0]]}))
+    assert main(["verify", "--code", str(path), "--cap", "70"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "2^62" in out.err
 
 
 def test_weights_over_cap_exits_2(files, capsys):

@@ -1,10 +1,13 @@
 """The brute-force oracle against the closed-form machinery."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from chaincodes import codes, eisenstein_codes as ec, galois_codes as gc, oracle
-from chaincodes.errors import TooLargeError
+from chaincodes.errors import RankNotOneError, TooLargeError
 from chaincodes.rings import ChainRing
 
 
@@ -55,6 +58,15 @@ def test_cap_enforced(ring_gal):
     code = gc.build_galois_code(spec)
     with pytest.raises(TooLargeError):
         oracle.brute_dual_trace(code, cap_log2=10)
+
+
+def test_key_range_refused_above_2_62(ring_gal):
+    """|R|^N = 2^66 passes a raised cap but does not fit an int64 key."""
+    spec = gc.GaloisCodeSpec(ring=ring_gal, N=11, e=[[0, 0], [0, 0]])
+    with pytest.raises(TooLargeError, match="2\\^62"):
+        oracle.cross_check(spec, cap_log2=70)
+    space = oracle._Space(ring_gal, 10)  # 2^60: the keys still fit
+    assert int(space.weights[0]) * int(space.caps[0]) == ring_gal.card**10
 
 
 def test_verify_additive_cyclic(ring_gal):
@@ -108,3 +120,43 @@ def test_oracle_matrix_small():
     # N=5 under p=2: cosets {0} and {1,2,3,4}, the latter splitting in two
     gspec = gc.GaloisCodeSpec(ring=f4, N=5, e=[[0, 1], [1, 0]])
     assert oracle.cross_check(gspec).passed()
+
+
+PIN_RINGS = {
+    "demo": ChainRing(2, 2, 2, 2, 1, [1, 0], f=[1, 1, 1]),
+    "eis": ChainRing(2, 2, 1, 2, 1, [1, 0]),
+    "quasi": ChainRing(2, 1, 1, 3, 3, [1, 0, 0]),
+    "p3": ChainRing(3, 2, 1, 2, 1, [1, 0]),
+    "z8": ChainRing(2, 3, 1, 2, 1, [1, 0]),  # Z_8[x]/<x^2+2, 4x>
+}
+
+# sha256 over verify_additive_cyclic reports (both bases) and both brute
+# duals on seeded random spans; it pins the oracle's reports and witnesses.
+ORACLE_PIN = "a68416bc7a39661fc498b446de5bc7d7121228aca4e6f10a10efa9d869343629"
+
+
+def test_oracle_survey_pin():
+    rng = np.random.default_rng(29)
+    digest = hashlib.sha256()
+    outcomes = set()
+    for name, ring in PIN_RINGS.items():
+        for N in (1, 2):
+            space = oracle._Space(ring, N)
+            for _ in range(2):
+                rows = rng.integers(0, space.caps, size=(int(rng.integers(0, 3)), space.L))
+                handle = codes.handle_from_rows("galois", ring, N, None, [rows])
+                keys = oracle.enumerate_handle(space, handle)
+                stray = space.encode(rng.integers(0, space.caps, size=(1, space.L)))
+                for cand in (keys, keys[1:], np.union1d(keys, stray)):
+                    for base in ("chain", "zpn"):
+                        rep = oracle.verify_additive_cyclic(space, cand, base=base)
+                        outcomes.update(rep.details or ("pass",))
+                        digest.update(json.dumps(rep.to_json()).encode())
+                for brute in (oracle.brute_dual_trace, oracle.brute_dual_character):
+                    try:
+                        digest.update(brute(handle)[1].tobytes())
+                    except RankNotOneError as exc:
+                        digest.update(str(exc).encode())
+    assert outcomes == {"pass", "missing zero", "not closed under addition",
+                        "not shift closed", "not closed under x"}
+    assert digest.hexdigest() == ORACLE_PIN

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaincodes import codes
 from chaincodes.errors import NotAUnitError, ParameterError, RingMismatchError
-from chaincodes.rings import ChainRing, RingParams, make_ring
+from chaincodes.rings import ChainRing
 
 
 def naive_product(ring, a, b):
@@ -62,11 +62,6 @@ def test_make_ring_examples(ring_eis, ring_quasi, ring_gal):
     assert ring_eis.m == 3 and ring_eis.card == 8
     assert ring_quasi.m == 3 and ring_quasi.card == 8
     assert ring_gal.m == 3 and ring_gal.log_p_card == 6
-
-
-def test_make_ring_from_params():
-    ring = make_ring(RingParams(2, 2, 1, 2, 1, (1, 0)))
-    assert ring.m == 3
 
 
 def test_parameter_validation():
